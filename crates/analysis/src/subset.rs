@@ -168,21 +168,19 @@ pub fn score_combination_range(
     Ok(results)
 }
 
-/// Rank scored subsets in place and keep the best `top`: conserve the map
-/// first (low RMSD), then high correlation. Both passes are stable sorts,
-/// so equal keys keep combination order — which is what lets a coordinator
-/// apply this to the concatenation of shard windows and reproduce a
-/// single-node ranking byte for byte.
+/// Rank scored subsets in place and keep the best `top`: lowest score
+/// `map_conservation_rmsd - 0.5 * mean_correlation` first, ties broken by
+/// the lower RMSD. Both keys compare by [`f64::total_cmp`], so a NaN score
+/// cannot panic the sort. The sort is stable, so subsets equal on both
+/// keys keep combination order — which is what lets a coordinator apply
+/// this to the concatenation of shard windows and reproduce a single-node
+/// ranking byte for byte.
 pub fn rank_subset_results(results: &mut Vec<SubsetSearchResult>, top: usize) {
+    let score = |r: &SubsetSearchResult| r.map_conservation_rmsd - 0.5 * r.mean_correlation;
     results.sort_by(|a, b| {
-        (a.map_conservation_rmsd - b.mean_correlation)
-            .partial_cmp(&(b.map_conservation_rmsd - b.mean_correlation))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    results.sort_by(|a, b| {
-        let score_a = a.map_conservation_rmsd - 0.5 * a.mean_correlation;
-        let score_b = b.map_conservation_rmsd - 0.5 * b.mean_correlation;
-        score_a.partial_cmp(&score_b).unwrap_or(std::cmp::Ordering::Equal)
+        score(a)
+            .total_cmp(&score(b))
+            .then(a.map_conservation_rmsd.total_cmp(&b.map_conservation_rmsd))
     });
     results.truncate(top);
 }
@@ -285,6 +283,64 @@ mod tests {
             rank_subset_results(&mut merged, 10);
             assert_eq!(merged, reference, "partition {parts:?}");
         }
+    }
+
+    /// The ranking as two stable sorts: by RMSD (the first comparator
+    /// subtracted `b.mean_correlation` on both sides), then by score.
+    fn rank_by_two_sorts(results: &mut Vec<SubsetSearchResult>, top: usize) {
+        results.sort_by(|a, b| {
+            (a.map_conservation_rmsd - b.mean_correlation)
+                .partial_cmp(&(b.map_conservation_rmsd - b.mean_correlation))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        results.sort_by(|a, b| {
+            let score_a = a.map_conservation_rmsd - 0.5 * a.mean_correlation;
+            let score_b = b.map_conservation_rmsd - 0.5 * b.mean_correlation;
+            score_a.partial_cmp(&score_b).unwrap_or(std::cmp::Ordering::Equal)
+        });
+        results.truncate(top);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_sort_ranks_like_the_two_sorts(
+            // Quarter steps make exact ties in RMSD, correlation and
+            // score common.
+            cells in proptest::collection::vec((0u32..8, 0u32..8, 0u32..1000), 0..40),
+            top in 0usize..45,
+        ) {
+            let results: Vec<SubsetSearchResult> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, &(rmsd, corr, alienation))| SubsetSearchResult {
+                    variables: vec![format!("v{i}")],
+                    alienation: alienation as f64 / 1000.0,
+                    mean_correlation: corr as f64 * 0.25,
+                    map_conservation_rmsd: rmsd as f64 * 0.25,
+                })
+                .collect();
+            let mut one = results.clone();
+            rank_subset_results(&mut one, top);
+            let mut two = results;
+            rank_by_two_sorts(&mut two, top);
+            proptest::prop_assert_eq!(one, two);
+        }
+    }
+
+    #[test]
+    fn ranking_survives_nan_scores() {
+        let entry = |rmsd: f64, corr: f64| SubsetSearchResult {
+            variables: vec![],
+            alienation: 0.1,
+            mean_correlation: corr,
+            map_conservation_rmsd: rmsd,
+        };
+        let mut results = vec![entry(f64::NAN, 0.5), entry(0.5, 0.9), entry(0.25, 0.5)];
+        rank_subset_results(&mut results, 3);
+        // Scores 0.0 and 0.05, then the NaN.
+        assert_eq!(results[0].map_conservation_rmsd, 0.25);
+        assert_eq!(results[1].map_conservation_rmsd, 0.5);
+        assert!(results[2].map_conservation_rmsd.is_nan());
     }
 
     #[test]

@@ -45,9 +45,11 @@ fn parity_server() -> (ServerHandle, String) {
     (server, addr)
 }
 
-/// Synthesize the fixture trace once and return its path.
-fn fixture_trace() -> String {
-    let dir = std::env::temp_dir().join("wl_stream_parity");
+/// Synthesize the fixture trace into a directory of the calling test's
+/// own (tests run in parallel; a shared file could be read while another
+/// test rewrites it) and return its path.
+fn fixture_trace(test: &str) -> String {
+    let dir = std::env::temp_dir().join("wl_stream_parity").join(test);
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join("site0.gwf");
     let path = path.to_str().expect("UTF-8 temp path").to_string();
@@ -61,7 +63,7 @@ const STREAM_ARGS: [&str; 4] = ["--window", "30", "--seed", "1999"];
 
 #[test]
 fn stream_is_thread_invariant() {
-    let path = fixture_trace();
+    let path = fixture_trace("stream_is_thread_invariant");
     let mut one = vec!["stream", path.as_str()];
     one.extend(STREAM_ARGS);
     let mut eight = one.clone();
@@ -78,7 +80,7 @@ fn stream_is_thread_invariant() {
 
 #[test]
 fn stream_cli_matches_server_body() {
-    let path = fixture_trace();
+    let path = fixture_trace("stream_cli_matches_server_body");
     let mut cli = vec!["stream", path.as_str()];
     cli.extend(STREAM_ARGS);
     cli.extend(["--threads", "2"]);
@@ -110,7 +112,7 @@ fn stream_cli_matches_server_body() {
 /// drift block yet.
 #[test]
 fn drift_sequence_prefix_is_pinned() {
-    let path = fixture_trace();
+    let path = fixture_trace("drift_sequence_prefix_is_pinned");
     let mut cli = vec!["stream", path.as_str()];
     cli.extend(STREAM_ARGS);
     cli.extend(["--threads", "2"]);

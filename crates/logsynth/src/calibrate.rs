@@ -114,8 +114,7 @@ pub fn parallelism_distribution(atoms: &[u64], median: f64, interval: f64) -> Di
 /// Empirical (median, 90% interval) of a sample — the verification
 /// counterpart of the calibrators.
 pub fn median_interval(xs: &[f64]) -> (f64, f64) {
-    let p = wl_stats::order::Percentiles::new(xs);
-    (p.median(), p.interval(0.90))
+    wl_stats::order::median_interval(&mut xs.to_vec(), 0.90).unwrap_or((f64::NAN, f64::NAN))
 }
 
 #[cfg(test)]

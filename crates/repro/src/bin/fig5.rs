@@ -4,15 +4,14 @@
 //! models are not — and Lublin sits isolated with the lowest estimates.
 
 use wl_repro::paper::{fit_claims, FIG5_VARIABLES};
-use wl_repro::{hurst_matrix, model_suite, paper_table3_matrix, production_suite, report_figure, Options};
+use wl_repro::{hurst_matrix, paper_table3_matrix, report_figure, table3_suite, Options};
 
 fn main() {
     let (opts, _obs) = Options::from_args();
     let data = if opts.paper_data {
         paper_table3_matrix(&FIG5_VARIABLES)
     } else {
-        let mut workloads = production_suite(&opts);
-        workloads.extend(model_suite(&opts));
+        let workloads = table3_suite(&opts);
         hurst_matrix(&workloads, &FIG5_VARIABLES, opts.threads)
     };
     let result = wl_repro::run_coplot(&opts, &data);

@@ -2,12 +2,11 @@
 //! (10 production + 5 models), three estimators per series.
 
 use wl_repro::paper::{TABLE3, TABLE3_COLUMNS, TABLE3_OBSERVATIONS};
-use wl_repro::{cell, hurst_row, hurst_rows, model_suite, production_suite, Options};
+use wl_repro::{cell, hurst_row, hurst_rows, table3_suite, Options};
 
 fn main() {
     let (opts, _obs) = Options::from_args();
-    let mut workloads = production_suite(&opts);
-    workloads.extend(model_suite(&opts));
+    let workloads = table3_suite(&opts);
 
     println!("== Table 3: estimations of self-similarity ==");
     print!("{:<16}", "workload");

@@ -135,15 +135,25 @@ pub fn period_suite(opts: &Options) -> Vec<Workload> {
     out
 }
 
+/// The synthesized CTC log that Jann's model is re-fitted to. It is the
+/// same workload, bit for bit, as the CTC observation [`production_suite`]
+/// yields: both derive its RNG from `(seed, CTC)` alone.
+pub fn ctc_log(opts: &Options) -> Workload {
+    machines::MachineId::Ctc.generate(opts.jobs, opts.seed)
+}
+
 /// The five model workloads, reordered to Table 3's listing (Lublin,
 /// Feitelson '97, Feitelson '96, Downey, Jann).
 ///
-/// Jann's model is re-fitted to the synthesized CTC log, exactly as the
-/// original was fitted to the real CTC trace; the other four use their
-/// published-default parameters.
-pub fn model_suite(opts: &Options) -> Vec<Workload> {
+/// Jann's model is re-fitted to `ctc`, the synthesized CTC log (see
+/// [`ctc_log`]), exactly as the original was fitted to the real CTC trace;
+/// the other four use their published-default parameters. Suites that also
+/// hold the production observations pass their own CTC log rather than
+/// synthesize it twice (see [`table3_suite`]).
+pub fn model_suite(opts: &Options, ctc: &Workload) -> Vec<Workload> {
     use wl_models::{Jann, WorkloadModel};
     use wl_stats::rng::{derive_seed, seeded_rng};
+    let _span = wl_obs::span!("logsynth.model_suite");
     // Model trait objects are not Send, so each worker rebuilds the model
     // list and picks its index; seeds derive from the index alone, keeping
     // the output independent of the thread count.
@@ -152,10 +162,10 @@ pub fn model_suite(opts: &Options) -> Vec<Workload> {
     let mut out = wl_par::par_map_indexed(opts.threads, n_models, move |k| {
         let models = all_models();
         let model = &models[k];
+        let _span = wl_obs::span!(model_span(model.name()));
         let mut rng = seeded_rng(derive_seed(opts.seed, 1000 + k as u64));
         if model.name() == "Jann" {
-            let ctc = machines::MachineId::Ctc.generate(opts.jobs, opts.seed);
-            let fitted = Jann::fit_from_workload(&ctc).expect("CTC fit");
+            let fitted = Jann::fit_from_workload(ctc).expect("CTC fit");
             fitted.generate(opts.jobs, &mut rng)
         } else {
             model.generate(opts.jobs, &mut rng)
@@ -163,6 +173,31 @@ pub fn model_suite(opts: &Options) -> Vec<Workload> {
     });
     let order = ["Lublin", "Feitelson '97", "Feitelson '96", "Downey", "Jann"];
     out.sort_by_key(|w| order.iter().position(|&n| n == w.name).unwrap_or(usize::MAX));
+    out
+}
+
+/// The span one model's synthesis runs in.
+fn model_span(model: &str) -> &'static str {
+    match model {
+        "Lublin" => "logsynth.model.lublin",
+        "Feitelson '97" => "logsynth.model.feitelson97",
+        "Feitelson '96" => "logsynth.model.feitelson96",
+        "Downey" => "logsynth.model.downey",
+        "Jann" => "logsynth.model.jann",
+        _ => "logsynth.model",
+    }
+}
+
+/// Table 3's fifteen observations: [`production_suite`], then
+/// [`model_suite`] with Jann fitted to the production suite's own CTC log.
+pub fn table3_suite(opts: &Options) -> Vec<Workload> {
+    let mut out = production_suite(opts);
+    let ctc = out
+        .iter()
+        .find(|w| w.name == machines::MachineId::Ctc.name())
+        .expect("the production suite holds CTC");
+    let models = model_suite(opts, ctc);
+    out.extend(models);
     out
 }
 
@@ -418,7 +453,7 @@ mod tests {
             jobs: 300,
             ..Options::default()
         };
-        let ms = model_suite(&opts);
+        let ms = model_suite(&opts, &ctc_log(&opts));
         let names: Vec<&str> = ms.iter().map(|w| w.name.as_str()).collect();
         assert_eq!(
             names,
@@ -433,19 +468,29 @@ mod tests {
             threads: 1,
             ..Options::default()
         };
-        let mut workloads = production_suite(&base);
-        workloads.extend(model_suite(&base));
+        let workloads = table3_suite(&base);
         let reference = hurst_matrix(&workloads, &["rp", "vr", "pc"], 1);
         for threads in [2, 3, 8] {
             let opts = Options { threads, ..base };
-            let mut ws = production_suite(&opts);
-            ws.extend(model_suite(&opts));
+            let ws = table3_suite(&opts);
             assert_eq!(ws, workloads, "suite at threads = {threads}");
             assert_eq!(
                 hurst_matrix(&ws, &["rp", "vr", "pc"], threads),
                 reference,
                 "hurst matrix at threads = {threads}"
             );
+        }
+    }
+
+    #[test]
+    fn ctc_log_is_the_production_suites_ctc() {
+        for threads in [1, 2, 8] {
+            let opts = Options {
+                jobs: 400,
+                threads,
+                ..Options::default()
+            };
+            assert_eq!(production_suite(&opts)[0], ctc_log(&opts), "threads = {threads}");
         }
     }
 

@@ -11,10 +11,11 @@
 //! log is the same length — so [`FftPlan`] precomputes the per-length
 //! tables (bit-reversal permutation, butterfly twiddles, Bluestein chirp
 //! and B-spectrum) once, and [`plan`] caches plans by length for the whole
-//! process. Planned transforms are **bit-identical** to the planless
-//! [`fft_pow2`]/[`fft_any`] paths: the tables are filled by exactly the
-//! code the planless kernels run inline (same twiddle recurrence, same
-//! chirp expressions), so only the wall time changes.
+//! process, in a byte-bounded cache shared with the fGn spectra (see
+//! [`CACHE_BUDGET_BYTES`]). Planned transforms are **bit-identical** to the
+//! planless [`fft_pow2`]/[`fft_any`] paths: the tables are filled by
+//! exactly the code the planless kernels run inline (same twiddle
+//! recurrence, same chirp expressions), so only the wall time changes.
 
 use std::collections::HashMap;
 use std::f64::consts::PI;
@@ -208,6 +209,11 @@ impl Pow2Tables {
         }
     }
 
+    fn heap_bytes(&self) -> usize {
+        let twiddles: usize = self.fwd.iter().chain(&self.inv).map(Vec::len).sum();
+        std::mem::size_of_val(&self.swaps[..]) + twiddles * std::mem::size_of::<(f64, f64)>()
+    }
+
     /// The planned equivalent of [`fft_pow2`]: same butterflies, twiddles
     /// read from the tables instead of recomputed.
     fn fft(&self, re: &mut [f64], im: &mut [f64], inverse: bool) {
@@ -222,21 +228,24 @@ impl Pow2Tables {
             im.swap(i as usize, j as usize);
         }
         let levels = if inverse { &self.inv } else { &self.fwd };
-        let mut len = 2;
         for tw in levels {
-            for start in (0..n).step_by(len) {
-                for (k, &(cr, ci)) in tw.iter().enumerate() {
-                    let a = start + k;
-                    let b = a + len / 2;
-                    let tr = re[b] * cr - im[b] * ci;
-                    let ti = re[b] * ci + im[b] * cr;
-                    re[b] = re[a] - tr;
-                    im[b] = im[a] - ti;
-                    re[a] += tr;
-                    im[a] += ti;
+            // Each block of `2 * half` holds independent butterflies
+            // pairing its lower half with its upper half.
+            let half = tw.len();
+            let blocks = re.chunks_exact_mut(2 * half).zip(im.chunks_exact_mut(2 * half));
+            for (re_block, im_block) in blocks {
+                let (re_a, re_b) = re_block.split_at_mut(half);
+                let (im_a, im_b) = im_block.split_at_mut(half);
+                let lanes = re_a.iter_mut().zip(re_b).zip(im_a.iter_mut().zip(im_b));
+                for (((ra, rb), (ia, ib)), &(cr, ci)) in lanes.zip(tw) {
+                    let tr = *rb * cr - *ib * ci;
+                    let ti = *rb * ci + *ib * cr;
+                    *rb = *ra - tr;
+                    *ib = *ia - ti;
+                    *ra += tr;
+                    *ia += ti;
                 }
             }
-            len <<= 1;
         }
     }
 }
@@ -274,6 +283,12 @@ impl BluesteinSide {
         }
         pow2.fft(&mut bre, &mut bim, false);
         BluesteinSide { chirp, bre, bim }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.chirp[..])
+            + std::mem::size_of_val(&self.bre[..])
+            + std::mem::size_of_val(&self.bim[..])
     }
 }
 
@@ -323,6 +338,17 @@ impl FftPlan {
     /// The transform length this plan serves.
     pub fn len(&self) -> usize {
         self.n
+    }
+
+    /// Heap bytes held by the plan's tables.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.kind {
+            PlanKind::Empty => 0,
+            PlanKind::Pow2(t) => t.heap_bytes(),
+            PlanKind::Bluestein { pow2, fwd, inv } => {
+                pow2.heap_bytes() + fwd.heap_bytes() + inv.heap_bytes()
+            }
+        }
     }
 
     /// True for the zero-length plan.
@@ -401,31 +427,171 @@ impl FftPlan {
     }
 }
 
-/// Plans kept alive at once; enough for every distinct length a repro run
-/// touches (a handful of embedding sizes plus the log lengths). On
-/// overflow the cache is cleared rather than evicted piecemeal — plans are
-/// cheap to rebuild and the limit only guards against unbounded growth
-/// under adversarial length patterns.
-const PLAN_CACHE_CAP: usize = 64;
+/// Bytes the process-wide transform cache keeps resident. FFT plans and
+/// Davies-Harte spectra share this one budget. A repro run or a served
+/// request at paper scale (8192 jobs) touches a few MB of them. When an
+/// insert would overflow the budget, the least recently used entries are
+/// dropped. An entry larger than the whole budget (the 4M-point plan of a
+/// two-million-job request is over 100 MB) is built, returned and never
+/// kept. The bound is fixed: it is what the cache may cost a long-lived
+/// server, not a tuning knob.
+pub const CACHE_BUDGET_BYTES: usize = 32 << 20;
+
+/// What the transform cache is keyed by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum CacheKey {
+    /// An [`FftPlan`], by transform length.
+    Plan(usize),
+    /// A Davies-Harte amplitude spectrum, by `(H.to_bits(), n)`.
+    Spectrum(u64, usize),
+}
+
+impl CacheKey {
+    /// The hit, miss and eviction counters of this key's kind.
+    fn counters(self) -> [&'static str; 3] {
+        match self {
+            CacheKey::Plan(_) => ["fft.plan.hit", "fft.plan.miss", "fft.plan.evictions"],
+            CacheKey::Spectrum(..) => [
+                "fgn.spectrum.hit",
+                "fgn.spectrum.miss",
+                "fgn.spectrum.evictions",
+            ],
+        }
+    }
+}
+
+/// Add `delta` to a cache counter named at run time.
+fn count(name: &'static str, delta: u64) {
+    if wl_obs::enabled() {
+        wl_obs::registry().counter(name).add(delta);
+    }
+}
+
+/// One cached value.
+#[derive(Debug, Clone)]
+enum Cached {
+    Plan(Arc<FftPlan>),
+    Spectrum(Arc<[f64]>),
+}
+
+impl Cached {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Cached::Plan(p) => p.heap_bytes(),
+            Cached::Spectrum(s) => std::mem::size_of_val(&**s),
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Slot {
+    value: Cached,
+    bytes: usize,
+    last_use: u64,
+}
+
+/// The byte-bounded LRU map behind [`plan`] and the fGn spectra.
+#[derive(Debug, Default)]
+struct TransformCache {
+    slots: HashMap<CacheKey, Slot>,
+    bytes: usize,
+    clock: u64,
+}
+
+impl TransformCache {
+    fn get(&mut self, key: CacheKey) -> Option<Cached> {
+        self.clock += 1;
+        let slot = self.slots.get_mut(&key)?;
+        slot.last_use = self.clock;
+        Some(slot.value.clone())
+    }
+
+    /// Keep `value` under `key` unless it alone exceeds `budget`, dropping
+    /// least recently used entries until it fits. Returns the resident
+    /// value: the one already there when a concurrent builder won.
+    fn insert(&mut self, key: CacheKey, value: Cached, budget: usize) -> Cached {
+        if let Some(resident) = self.get(key) {
+            return resident;
+        }
+        let bytes = value.heap_bytes();
+        if bytes > budget {
+            return value;
+        }
+        while self.bytes + bytes > budget {
+            let (&victim, _) = self
+                .slots
+                .iter()
+                .min_by_key(|(_, slot)| slot.last_use)
+                .expect("a cache over budget holds an entry");
+            let slot = self.slots.remove(&victim).expect("victim is resident");
+            self.bytes -= slot.bytes;
+            count(victim.counters()[2], 1);
+        }
+        self.bytes += bytes;
+        self.slots.insert(
+            key,
+            Slot {
+                value: value.clone(),
+                bytes,
+                last_use: self.clock,
+            },
+        );
+        value
+    }
+}
+
+fn transform_cache() -> std::sync::MutexGuard<'static, TransformCache> {
+    static CACHE: OnceLock<Mutex<TransformCache>> = OnceLock::new();
+    CACHE
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
+
+/// The cached value under `key`, or `build`'s, kept for the next caller.
+/// Builds run outside the lock, so cold builds on different threads
+/// overlap; when two threads build one key at once, both get the value
+/// kept first.
+fn cached<E>(key: CacheKey, build: impl FnOnce() -> Result<Cached, E>) -> Result<Cached, E> {
+    let [hit, miss, _] = key.counters();
+    if let Some(value) = transform_cache().get(key) {
+        count(hit, 1);
+        return Ok(value);
+    }
+    count(miss, 1);
+    let value = build()?;
+    Ok(transform_cache().insert(key, value, CACHE_BUDGET_BYTES))
+}
+
+/// Bytes the transform cache holds now (at most [`CACHE_BUDGET_BYTES`]).
+pub fn cache_resident_bytes() -> usize {
+    transform_cache().bytes
+}
 
 /// The process-wide plan for length `n`, building and caching it on first
-/// use. Thread-safe; concurrent callers share one plan per length.
+/// use. Thread-safe; callers share one plan per length while it stays in
+/// the cache.
 pub fn plan(n: usize) -> Arc<FftPlan> {
-    static PLANS: OnceLock<Mutex<HashMap<usize, Arc<FftPlan>>>> = OnceLock::new();
-    let cache = PLANS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(p) = map.get(&n) {
-        wl_obs::counter!("fft.plan.hit", 1u64);
-        return Arc::clone(p);
+    let built = cached(CacheKey::Plan(n), || {
+        Ok::<_, std::convert::Infallible>(Cached::Plan(Arc::new(FftPlan::new(n))))
+    });
+    match built {
+        Ok(Cached::Plan(p)) => p,
+        _ => unreachable!("plan keys hold plans"),
     }
-    wl_obs::counter!("fft.plan.miss", 1u64);
-    if map.len() >= PLAN_CACHE_CAP {
-        wl_obs::counter!("fft.plan.evictions", map.len() as u64);
-        map.clear();
+}
+
+/// The Davies-Harte amplitude spectrum for `(h, n)`, from the cache or
+/// from `build` (whose errors are returned and not cached).
+pub(crate) fn spectrum(
+    h: f64,
+    n: usize,
+    build: impl FnOnce() -> Result<Arc<[f64]>, String>,
+) -> Result<Arc<[f64]>, String> {
+    match cached(CacheKey::Spectrum(h.to_bits(), n), || build().map(Cached::Spectrum))? {
+        Cached::Spectrum(s) => Ok(s),
+        Cached::Plan(_) => unreachable!("spectrum keys hold spectra"),
     }
-    let p = Arc::new(FftPlan::new(n));
-    map.insert(n, Arc::clone(&p));
-    p
 }
 
 #[cfg(test)]
@@ -557,7 +723,7 @@ mod tests {
 
     #[test]
     fn planned_pow2_bit_identical_to_planless() {
-        for n in [1usize, 2, 8, 64, 1024] {
+        for n in [1usize, 2, 8, 64, 1024, 1 << 14] {
             let re: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() * 3.0).collect();
             let im: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).cos() - 0.25).collect();
             let p = plan(n);
@@ -597,6 +763,62 @@ mod tests {
         assert_eq!(a.len(), 48);
         assert!(!a.is_empty());
         assert!(plan(0).is_empty());
+    }
+
+    fn spectrum_of(len: usize) -> Cached {
+        Cached::Spectrum(vec![0.0; len].into())
+    }
+
+    #[test]
+    fn transform_cache_evicts_least_recently_used_within_budget() {
+        let mut cache = TransformCache::default();
+        let budget = 3 * 800;
+        for n in 0..3 {
+            cache.insert(CacheKey::Spectrum(0, n), spectrum_of(100), budget);
+        }
+        assert_eq!(cache.bytes, budget);
+        // Touch the oldest; the next insert must evict the second oldest.
+        assert!(cache.get(CacheKey::Spectrum(0, 0)).is_some());
+        cache.insert(CacheKey::Spectrum(0, 3), spectrum_of(100), budget);
+        assert!(cache.get(CacheKey::Spectrum(0, 1)).is_none());
+        for n in [0, 2, 3] {
+            assert!(cache.get(CacheKey::Spectrum(0, n)).is_some(), "n = {n}");
+        }
+        assert_eq!(cache.bytes, budget);
+    }
+
+    #[test]
+    fn transform_cache_never_keeps_an_entry_over_budget() {
+        let mut cache = TransformCache::default();
+        cache.insert(CacheKey::Spectrum(0, 0), spectrum_of(10), 800);
+        let big = cache.insert(CacheKey::Plan(1 << 10), Cached::Plan(plan(1 << 10)), 800);
+        assert!(matches!(big, Cached::Plan(_)));
+        assert!(cache.get(CacheKey::Plan(1 << 10)).is_none());
+        // The oversized entry evicted nothing.
+        assert!(cache.get(CacheKey::Spectrum(0, 0)).is_some());
+        assert_eq!(cache.bytes, 80);
+    }
+
+    #[test]
+    fn transform_cache_keeps_the_first_of_two_racing_builds() {
+        let mut cache = TransformCache::default();
+        let first = cache.insert(CacheKey::Spectrum(7, 5), spectrum_of(5), 800);
+        let second = cache.insert(CacheKey::Spectrum(7, 5), spectrum_of(5), 800);
+        match (first, second) {
+            (Cached::Spectrum(a), Cached::Spectrum(b)) => assert!(Arc::ptr_eq(&a, &b)),
+            _ => panic!("spectrum keys hold spectra"),
+        }
+        assert_eq!(cache.bytes, 40);
+    }
+
+    #[test]
+    fn plan_bytes_count_every_table() {
+        // 8 points: 2 swaps (1<->4, 3<->6) and 1 + 2 + 4 twiddles per direction.
+        assert_eq!(FftPlan::new(8).heap_bytes(), 2 * 8 + 2 * 7 * 16);
+        assert_eq!(FftPlan::new(0).heap_bytes(), 0);
+        // Bluestein: the size-8 radix-2 tables plus two sides of 3 chirps
+        // and 2 x 8 B-spectrum values each.
+        assert_eq!(FftPlan::new(3).heap_bytes(), 2 * 8 + 2 * 7 * 16 + 2 * (3 * 16 + 16 * 8));
     }
 
     #[test]

@@ -39,14 +39,43 @@ pub fn fgn_autocovariance(h: f64, k: usize) -> f64 {
     0.5 * ((k + 1.0).powf(two_h) - 2.0 * k.powf(two_h) + (k - 1.0).powf(two_h))
 }
 
+/// `gamma(0..len)`, bit-identical to [`fgn_autocovariance`] at each lag
+/// but with one `powf` per lag instead of three: `k^{2H}` is computed once
+/// and shared by the three neighbouring lags that use it (integer-valued
+/// `k ± 1` are exact in `f64`, so the powers are the same values).
+///
+/// # Panics
+/// Panics unless `0 < h < 1`.
+pub fn fgn_autocovariances(h: f64, len: usize) -> Vec<f64> {
+    assert!(h > 0.0 && h < 1.0, "H must be in (0,1), got {h}");
+    let two_h = 2.0 * h;
+    let pow: Vec<f64> = (0..=len).map(|k| (k as f64).powf(two_h)).collect();
+    (0..len)
+        .map(|k| {
+            if k == 0 {
+                1.0
+            } else {
+                0.5 * (pow[k + 1] - 2.0 * pow[k] + pow[k - 1])
+            }
+        })
+        .collect()
+}
+
 /// Davies-Harte exact fGn generator: precomputes the circulant-embedding
 /// eigenvalues for a fixed length, then generates independent sample paths.
+///
+/// The eigenvalues depend on `(h, n)` alone, so their amplitude spectrum is
+/// kept in the process-wide transform cache beside the FFT plans (see
+/// [`fft::CACHE_BUDGET_BYTES`]): a second generator for the same `(h, n)`
+/// skips the `powf` sweep and the FFT and yields the same paths, bit for
+/// bit.
 #[derive(Debug, Clone)]
 pub struct FgnDaviesHarte {
     h: f64,
     n: usize,
-    /// sqrt(lambda_j / m), the per-bin amplitude.
-    amps: Vec<f64>,
+    /// sqrt(lambda_j / m), the per-bin amplitude, for bins `0..=m/2` (the
+    /// upper half mirrors it).
+    amps: Arc<[f64]>,
     /// Embedding size (power of two, >= 2n).
     m: usize,
     /// Shared FFT plan for the embedding size; every generated path reuses
@@ -70,30 +99,37 @@ impl FgnDaviesHarte {
 
         // Power-of-two embedding size m >= 2n keeps the FFT radix-2.
         let m = (2 * n).next_power_of_two();
+        let plan = fft::plan(m);
+        let amps = fft::spectrum(h, n, || Self::spectrum(h, m, &plan))?;
+        Ok(FgnDaviesHarte { h, n, amps, m, plan })
+    }
+
+    /// The amplitudes `sqrt(lambda_j / m)` for bins `0..=m/2` of the
+    /// size-`m` circulant embedding.
+    fn spectrum(h: f64, m: usize, plan: &FftPlan) -> Result<Arc<[f64]>, String> {
         let half = m / 2;
         // Circulant first row: gamma(0..=half), then mirrored.
-        let mut c = vec![0.0; m];
-        for (k, slot) in c.iter_mut().enumerate().take(half + 1) {
-            *slot = fgn_autocovariance(h, k);
-        }
+        let mut c = fgn_autocovariances(h, half + 1);
+        c.resize(m, 0.0);
         for k in 1..half {
             c[m - k] = c[k];
         }
         // Eigenvalues = FFT of the first row (real by symmetry).
-        let plan = fft::plan(m);
         let mut re = c;
         let mut im = vec![0.0; m];
         plan.process_pow2(&mut re, &mut im, false);
-        let mut amps = Vec::with_capacity(m);
+        let mut amps = Vec::with_capacity(half + 1);
         for (j, &lambda) in re.iter().enumerate() {
             if lambda < -1e-8 {
                 return Err(format!(
                     "negative circulant eigenvalue {lambda} at bin {j} (H = {h})"
                 ));
             }
-            amps.push((lambda.max(0.0) / m as f64).sqrt());
+            if j <= half {
+                amps.push((lambda.max(0.0) / m as f64).sqrt());
+            }
         }
-        Ok(FgnDaviesHarte { h, n, amps, m, plan })
+        Ok(amps.into())
     }
 
     /// The Hurst parameter.
@@ -170,7 +206,7 @@ impl FgnHosking {
         if n == 0 {
             return Vec::new();
         }
-        let gamma: Vec<f64> = (0..n).map(|k| fgn_autocovariance(self.h, k)).collect();
+        let gamma = fgn_autocovariances(self.h, n);
 
         let mut x = Vec::with_capacity(n);
         x.push(Normal::sample_standard(rng)); // gamma(0) = 1
@@ -319,6 +355,51 @@ mod tests {
         let a = gen.generate(&mut seeded_rng(35));
         let b = gen.generate(&mut seeded_rng(35));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn shared_powers_autocovariances_are_bit_identical() {
+        for h in [0.05, 0.3, 0.5, 0.74, 0.95] {
+            let gamma = fgn_autocovariances(h, 300);
+            for (k, g) in gamma.iter().enumerate() {
+                assert_eq!(g.to_bits(), fgn_autocovariance(h, k).to_bits(), "h {h} lag {k}");
+            }
+        }
+    }
+
+    /// A reference generator that bypasses the cache: three `powf` per lag,
+    /// the planless FFT for the spectrum, a plan of its own for the paths.
+    fn uncached_generator(h: f64, n: usize) -> FgnDaviesHarte {
+        let m = (2 * n).next_power_of_two();
+        let mut re = vec![0.0; m];
+        for (k, slot) in re.iter_mut().enumerate().take(m / 2 + 1) {
+            *slot = fgn_autocovariance(h, k);
+        }
+        for k in 1..m / 2 {
+            re[m - k] = re[k];
+        }
+        let mut im = vec![0.0; m];
+        fft::fft_pow2(&mut re, &mut im, false);
+        let plan = Arc::new(FftPlan::new(m));
+        let amps: Vec<f64> = re[..=m / 2]
+            .iter()
+            .map(|&lambda| (lambda.max(0.0) / m as f64).sqrt())
+            .collect();
+        FgnDaviesHarte { h, n, amps: amps.into(), m, plan }
+    }
+
+    #[test]
+    fn cached_spectrum_paths_are_bit_identical_to_a_fresh_build() {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for (h, n) in [(0.76, 8192), (0.62, 1000), (0.5, 1), (0.9, 3)] {
+            let fresh = uncached_generator(h, n);
+            let first = FgnDaviesHarte::new(h, n).unwrap();
+            let second = FgnDaviesHarte::new(h, n).unwrap();
+            assert!(Arc::ptr_eq(&first.amps, &second.amps), "spectrum not shared");
+            let want = bits(fresh.generate(&mut seeded_rng(37)));
+            assert_eq!(bits(first.generate(&mut seeded_rng(37))), want, "h {h} n {n}");
+            assert_eq!(bits(second.generate(&mut seeded_rng(37))), want, "h {h} n {n}");
+        }
     }
 
     #[test]

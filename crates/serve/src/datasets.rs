@@ -128,17 +128,12 @@ impl NamedDataset {
         match self {
             NamedDataset::Table1 => wl_repro::production_suite(&opts),
             NamedDataset::Table2 => wl_repro::period_suite(&opts),
-            NamedDataset::Models => wl_repro::model_suite(&opts),
-            NamedDataset::Table3 => {
-                let mut out = wl_repro::production_suite(&opts);
-                out.extend(wl_repro::model_suite(&opts));
-                out
-            }
+            NamedDataset::Models => wl_repro::model_suite(&opts, &wl_repro::ctc_log(&opts)),
+            NamedDataset::Table3 => wl_repro::table3_suite(&opts),
             NamedDataset::Grid => wl_trace::synth::grid_suite(jobs, seed, threads),
             NamedDataset::Web => wl_trace::synth::web_suite(jobs, seed, threads),
             NamedDataset::CrossDomain => {
-                let mut out = wl_repro::production_suite(&opts);
-                out.extend(wl_repro::model_suite(&opts));
+                let mut out = wl_repro::table3_suite(&opts);
                 out.extend(wl_trace::synth::grid_suite(jobs, seed, threads));
                 out.extend(wl_trace::synth::web_suite(jobs, seed, threads));
                 out
@@ -269,6 +264,37 @@ mod tests {
             assert_eq!(NamedDataset::from_name(d.name()), Some(d));
         }
         assert_eq!(NamedDataset::from_name("table9"), None);
+    }
+
+    #[test]
+    fn shared_ctc_suites_equal_the_separate_ctc_composition() {
+        let (jobs, seed) = (300, 1999);
+        for threads in [1, 2, 8] {
+            let opts = wl_repro::Options {
+                paper_data: false,
+                seed,
+                jobs,
+                threads,
+                timings: false,
+            };
+            // Production suite, then the models with Jann fitted to a CTC
+            // log synthesized a second time.
+            let mut table3 = wl_repro::production_suite(&opts);
+            table3.extend(wl_repro::model_suite(&opts, &wl_repro::ctc_log(&opts)));
+            assert_eq!(
+                NamedDataset::Table3.synthesize(jobs, seed, threads),
+                table3,
+                "table3 at threads = {threads}"
+            );
+            let mut cross = table3;
+            cross.extend(wl_trace::synth::grid_suite(jobs, seed, threads));
+            cross.extend(wl_trace::synth::web_suite(jobs, seed, threads));
+            assert_eq!(
+                NamedDataset::CrossDomain.synthesize(jobs, seed, threads),
+                cross,
+                "crossdomain at threads = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! runtime load when CPU load is missing) are applied by analysis code, not
 //! here, so the raw facts stay inspectable.
 
-use wl_stats::order::Percentiles;
+use wl_stats::order::median_interval;
 
 use crate::record::JobStatus;
 use crate::trace::NormalizedTrace;
@@ -167,6 +167,7 @@ pub struct TraceStats {
 impl TraceStats {
     /// Compute every characteristic from a normalized trace.
     pub fn compute(w: &NormalizedTrace) -> TraceStats {
+        let _span = wl_obs::span!("trace.stats");
         let njobs = w.len();
         let duration = w.duration();
         let capacity = w.machine.processors as f64 * duration;
@@ -232,36 +233,32 @@ impl TraceStats {
         };
 
         // Order statistics of the four per-job attributes.
-        let runtimes: Vec<f64> = w.jobs().iter().filter_map(|j| j.run_time_opt()).collect();
-        let procs: Vec<f64> = w
+        let mut runtimes: Vec<f64> = w.jobs().iter().filter_map(|j| j.run_time_opt()).collect();
+        let mut procs: Vec<f64> = w
             .jobs()
             .iter()
             .filter_map(|j| j.used_procs_opt().map(|p| p as f64))
             .collect();
-        let norm_procs: Vec<f64> = procs
+        let mut norm_procs: Vec<f64> = procs
             .iter()
             .map(|p| p / w.machine.processors as f64 * NORMALIZED_MACHINE)
             .collect();
-        let work: Vec<f64> = w.jobs().iter().filter_map(|j| j.total_cpu_work()).collect();
-        let interarrivals: Vec<f64> = w
+        let mut work: Vec<f64> = w.jobs().iter().filter_map(|j| j.total_cpu_work()).collect();
+        let mut interarrivals: Vec<f64> = w
             .jobs()
             .windows(2)
             .map(|pair| pair[1].submit_time - pair[0].submit_time)
             .collect();
 
-        let med_int = |xs: &[f64]| -> (Option<f64>, Option<f64>) {
-            if xs.is_empty() {
-                (None, None)
-            } else {
-                let p = Percentiles::new(xs);
-                (Some(p.median()), Some(p.interval(INTERVAL_WIDTH)))
-            }
-        };
-        let (runtime_median, runtime_interval) = med_int(&runtimes);
-        let (procs_median, procs_interval) = med_int(&procs);
-        let (norm_procs_median, norm_procs_interval) = med_int(&norm_procs);
-        let (cpu_work_median, cpu_work_interval) = med_int(&work);
-        let (interarrival_median, interarrival_interval) = med_int(&interarrivals);
+        let (runtime_median, runtime_interval) =
+            median_interval(&mut runtimes, INTERVAL_WIDTH).unzip();
+        let (procs_median, procs_interval) = median_interval(&mut procs, INTERVAL_WIDTH).unzip();
+        let (norm_procs_median, norm_procs_interval) =
+            median_interval(&mut norm_procs, INTERVAL_WIDTH).unzip();
+        let (cpu_work_median, cpu_work_interval) =
+            median_interval(&mut work, INTERVAL_WIDTH).unzip();
+        let (interarrival_median, interarrival_interval) =
+            median_interval(&mut interarrivals, INTERVAL_WIDTH).unzip();
 
         TraceStats {
             name: w.name.clone(),
@@ -448,6 +445,17 @@ mod tests {
         assert_eq!(s.completed_fraction, None);
         // Machine facts still present.
         assert_eq!(s.machine_processors, 4.0);
+    }
+
+    #[test]
+    fn nan_runtime_does_not_panic() {
+        let mut jobs = simple_trace().jobs().to_vec();
+        jobs[1].run_time = f64::NAN;
+        let s = TraceStats::compute(&NormalizedTrace::new("N", machine(10), jobs));
+        // Runtimes 50 NaN 70 20: NaN sorts last, so the median is 60.
+        assert_eq!(s.runtime_median, Some(60.0));
+        assert!(s.runtime_interval.unwrap().is_nan());
+        assert!((s.procs_median.unwrap() - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use wl_stats::order::Percentiles;
+use wl_stats::order::median_interval;
 
 use crate::record::{JobRecord, JobStatus};
 use crate::stats::{TraceStats, INTERVAL_WIDTH, NORMALIZED_MACHINE};
@@ -178,14 +178,7 @@ impl WindowStatsBuilder {
             Some(self.completed as f64 / self.known_status as f64)
         };
 
-        let med_int = |xs: &[f64]| -> (Option<f64>, Option<f64>) {
-            if xs.is_empty() {
-                (None, None)
-            } else {
-                let p = Percentiles::new(xs);
-                (Some(p.median()), Some(p.interval(INTERVAL_WIDTH)))
-            }
-        };
+        let med_int = |xs: &[f64]| median_interval(&mut xs.to_vec(), INTERVAL_WIDTH).unzip();
         let (runtime_median, runtime_interval) = med_int(&self.runtimes);
         let (procs_median, procs_interval) = med_int(&self.procs);
         let (norm_procs_median, norm_procs_interval) = med_int(&self.norm_procs);

@@ -25,8 +25,7 @@ fn main() {
 
     // Table 3's fifteen observations: ten production stand-ins + five
     // models, exactly as `wl coplot @table3` synthesizes them.
-    let mut traces = wl_repro::production_suite(&opts);
-    traces.extend(wl_repro::model_suite(&opts));
+    let mut traces = wl_repro::table3_suite(&opts);
     let swf_names: Vec<String> = traces.iter().map(|w| w.name.clone()).collect();
 
     // The other two domains ride in through their own trace formats.

@@ -15,6 +15,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo bench --no-run =="
 cargo bench --workspace --no-run
 
+echo "== perfbench (own workspace): unit tests + 3 s cold_suite smoke =="
+# The benchmark builds into its own target dir (perfbench/target), away
+# from the workspace build.
+cargo test -q --manifest-path perfbench/Cargo.toml
+bench_line=$(cargo run --release --quiet --offline --locked \
+  --manifest-path perfbench/Cargo.toml -- \
+  --workload cold_suite --seed 7 --seconds 3 --trace 0 2>/dev/null | tail -1)
+echo "$bench_line" | grep -q '"correct":true' \
+  || { echo "cold_suite smoke answered wrong bytes: $bench_line"; exit 1; }
+
 echo "== table3 smoke run (--threads 8) =="
 ./target/release/table3 --jobs 512 --threads 8 > /dev/null
 
