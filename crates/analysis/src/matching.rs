@@ -66,21 +66,17 @@ pub fn match_models(
     let matches = models
         .iter()
         .map(|m| {
-            let (closest, distance) = logs
-                .iter()
-                .map(|l| {
-                    (
-                        l.name.clone(),
-                        // Every workload in `all` has a map row, so the
-                        // lookups below cannot fail.
-                        result
-                            .map_distance(&m.name, &l.name)
-                            .expect("both present in map"),
-                    )
-                })
-                // Map distances are finite (MDS rejects non-finite input).
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"))
-                .expect("at least one log");
+            let (closest, distance) = closest_log(logs.iter().map(|l| {
+                (
+                    l.name.clone(),
+                    // Every workload in `all` has a map row, so the
+                    // lookups below cannot fail.
+                    result
+                        .map_distance(&m.name, &l.name)
+                        .expect("both present in map"),
+                )
+            }))
+            .expect("at least one log");
             let (x, y) = result.position(&m.name).expect("model in map");
             ModelMatch {
                 model: m.name.clone(),
@@ -96,6 +92,14 @@ pub fn match_models(
         matches,
         coplot: result,
     })
+}
+
+/// The (log, distance) pair with the smallest distance, the first one on
+/// ties. Ordered by `total_cmp`, so a NaN distance cannot panic the
+/// search (a positive NaN ranks after every number, a negative one
+/// before).
+fn closest_log(candidates: impl Iterator<Item = (String, f64)>) -> Option<(String, f64)> {
+    candidates.min_by(|a, b| a.1.total_cmp(&b.1))
 }
 
 #[cfg(test)]
@@ -172,6 +176,18 @@ mod tests {
         assert!(none.matches.iter().all(|m| !m.accepted));
         let all = match_models(&logs, &models, 100.0, 5).unwrap();
         assert!(all.matches.iter().all(|m| m.accepted));
+    }
+
+    #[test]
+    fn nan_map_distance_does_not_panic() {
+        let candidates = [("a", f64::NAN), ("b", 0.4), ("c", 0.2), ("d", 0.2)]
+            .map(|(name, d)| (name.to_string(), d));
+        let (name, distance) = closest_log(candidates.into_iter()).unwrap();
+        assert_eq!((name.as_str(), distance), ("c", 0.2));
+        let (name, distance) = closest_log([("a".to_string(), f64::NAN)].into_iter()).unwrap();
+        assert_eq!(name, "a");
+        assert!(distance.is_nan());
+        assert!(closest_log(std::iter::empty()).is_none());
     }
 
     #[test]

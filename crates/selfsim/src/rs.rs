@@ -6,6 +6,7 @@
 //! series follow `E[R/S] ~ c n^H`, so plotting `log(R/S)` against `log n`
 //! over many block sizes (a *pox plot*) and fitting a line estimates `H`.
 
+use std::collections::BTreeMap;
 use wl_stats::linear_fit;
 
 /// Smallest block size [`rs_hurst`] plots.
@@ -87,7 +88,8 @@ pub fn pox_plot(x: &[f64], min_block: usize, points: usize) -> Vec<PoxPoint> {
 /// O(new values) and re-plots without touching the earlier series — the
 /// append performs the same left-to-right accumulation [`pox_plot`]'s
 /// upfront pass does, so the result is bit-identical to handing the whole
-/// series to [`pox_plot`] (see `online::OnlineHurst`).
+/// series to [`pox_plot`] (see `online::OnlineHurst`, which also keeps the
+/// per-block-size sums between calls).
 ///
 /// # Panics
 /// Panics when the arrays disagree in length or are empty.
@@ -96,6 +98,42 @@ pub fn pox_plot_with_prefix(
     q: &[f64],
     min_block: usize,
     points: usize,
+) -> Vec<PoxPoint> {
+    pox_plot_resumable(p, q, min_block, points, &mut PoxSums::default())
+}
+
+/// How far one block size's R/S sum has got: the first `blocks` complete
+/// blocks are scanned, and the R/S terms of the `count` non-degenerate ones
+/// among them are summed, left to right, into `sum`.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockRun {
+    blocks: usize,
+    sum: f64,
+    count: usize,
+}
+
+/// Per-block-size R/S sums that a pox plot of a growing series resumes
+/// from. A complete block's R/S term depends only on the prefix sums inside
+/// it, which appending never changes, so a later plot continues each
+/// size's sum at its first unscanned block: the same additions, in the
+/// same order, from the same start as a full rescan. Sizes are kept even
+/// when a plot does not use them (the plotted sizes move as the series
+/// grows, and may come back); a plot adds at most `points` entries.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PoxSums(BTreeMap<usize, BlockRun>);
+
+/// The pox plot over prefix sums, resuming every block size from `sums`
+/// and leaving the extended sums there. `sums` must come from earlier
+/// calls over prefixes of the same arrays (or be empty).
+///
+/// # Panics
+/// Panics when the arrays disagree in length or are empty.
+pub(crate) fn pox_plot_resumable(
+    p: &[f64],
+    q: &[f64],
+    min_block: usize,
+    points: usize,
+    sums: &mut PoxSums,
 ) -> Vec<PoxPoint> {
     assert_eq!(p.len(), q.len(), "prefix arrays must agree in length");
     assert!(!p.is_empty(), "prefix arrays carry a leading zero entry");
@@ -113,9 +151,9 @@ pub fn pox_plot_with_prefix(
         let size = (size_f.round() as usize).clamp(min_block, max_block);
         if out.last().map(|p| p.block_size) != Some(size) {
             let s = size as f64;
-            let mut sum = 0.0;
-            let mut count = 0;
-            for b in 0..n / size {
+            let run = sums.0.entry(size).or_default();
+            debug_assert!(run.blocks <= n / size, "series shrank under resumed sums");
+            for b in run.blocks..n / size {
                 let (lo, hi) = (b * size, (b + 1) * size);
                 let mean = (p[hi] - p[lo]) / s;
                 // E[x^2] - mean^2; cancellation can push a (near-)constant
@@ -134,14 +172,15 @@ pub fn pox_plot_with_prefix(
                 // W_0 = 0 participates in both extrema via the lane seeds.
                 let (max_w, min_w) = wl_linalg::vecops::affine_extrema4(win, base, mean);
                 let r = max_w - min_w;
-                sum += r / sdev;
-                count += 1;
+                run.sum += r / sdev;
+                run.count += 1;
             }
-            if count > 0 {
+            run.blocks = n / size;
+            if run.count > 0 {
                 out.push(PoxPoint {
                     block_size: size,
-                    mean_rs: sum / count as f64,
-                    blocks: count,
+                    mean_rs: run.sum / run.count as f64,
+                    blocks: run.count,
                 });
             }
         }
@@ -160,7 +199,11 @@ pub fn pox_plot_with_prefix(
 /// log-log coordinates. Returns `None` when fewer than 3 pox points are
 /// available (series too short or degenerate).
 pub fn rs_hurst(x: &[f64]) -> Option<f64> {
-    let points = pox_plot(x, DEFAULT_MIN_BLOCK, DEFAULT_POINTS);
+    pox_slope(&pox_plot(x, DEFAULT_MIN_BLOCK, DEFAULT_POINTS))
+}
+
+/// The log-log slope of a pox plot, `None` below 3 points.
+pub(crate) fn pox_slope(points: &[PoxPoint]) -> Option<f64> {
     if points.len() < 3 {
         return None;
     }
