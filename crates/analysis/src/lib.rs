@@ -39,14 +39,9 @@ pub use homogeneity::{HomogeneityReport, HomogeneityVerdict};
 pub use load_alteration::{alter_load, LoadAlteration, LoadAuditRow};
 pub use matching::{match_models, ModelMatch};
 pub use matrix::{stats_matrix, trace_matrix, try_stats_matrix, try_trace_matrix};
-#[allow(deprecated)]
-pub use matrix::{try_workload_matrix, workload_matrix};
 pub use parametric::ParametricModel;
 pub use stream::{
     run_stream, ArrowDelta, Drift, Frame, OrderPolicy, StreamConfig, WindowEvent, WindowedCoplot,
     MIN_FRAME_WINDOWS,
 };
-pub use subset::{
-    best_variable_subset, rank_subset_results, score_combination_range, subset_space_size,
-    SubsetSearchResult,
-};
+pub use subset::{best_variable_subset, subset_space_size, SubsetSearchResult};

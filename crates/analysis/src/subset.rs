@@ -56,34 +56,6 @@ pub fn best_variable_subset(
     seed: u64,
     threads: usize,
 ) -> Result<Vec<SubsetSearchResult>, CoplotError> {
-    let mut results = score_combination_range(data, k, max_alienation, seed, threads, None)?;
-    rank_subset_results(&mut results, top);
-    Ok(results)
-}
-
-/// Score the lexicographic combination window `[lo, hi)` (or all `C(p, k)`
-/// combinations when `range` is `None`), returning the surviving subsets
-/// **in combination order, unranked**.
-///
-/// This is the distribution primitive behind [`best_variable_subset`]:
-/// each combination's score depends only on the engine seed and cached
-/// intermediates — never on which other combinations were scored alongside
-/// it — so concatenating the results of contiguous windows covering
-/// `0..C(p, k)` reproduces the full enumeration exactly, and one
-/// [`rank_subset_results`] pass over the concatenation yields the same
-/// ranking bytes as a single-node run.
-///
-/// # Errors
-/// [`CoplotError::InvalidConfig`] for the same guard rails as
-/// [`best_variable_subset`], plus an out-of-bounds or empty `range`.
-pub fn score_combination_range(
-    data: &coplot::DataMatrix,
-    k: usize,
-    max_alienation: f64,
-    seed: u64,
-    threads: usize,
-    range: Option<(usize, usize)>,
-) -> Result<Vec<SubsetSearchResult>, CoplotError> {
     let p = data.n_variables();
     if k < 2 || k > p {
         return Err(CoplotError::InvalidConfig(format!(
@@ -96,19 +68,8 @@ pub fn score_combination_range(
             "search space too large: C({p},{k}) = {n_subsets}"
         )));
     }
-    let (win_lo, win_hi) = match range {
-        None => (0, n_subsets),
-        Some((lo, hi)) => {
-            if lo >= hi || hi > n_subsets {
-                return Err(CoplotError::InvalidConfig(format!(
-                    "combination range [{lo}, {hi}) must be a non-empty window of 0..{n_subsets}"
-                )));
-            }
-            (lo, hi)
-        }
-    };
     let _span = wl_obs::span!("subset.search");
-    wl_obs::counter!("subset.candidates", (win_hi - win_lo) as u64);
+    wl_obs::counter!("subset.candidates", n_subsets as u64);
 
     // Reference map from all variables; this also fills the engine's
     // normalization/contribution caches for all the subset runs below.
@@ -116,7 +77,7 @@ pub fn score_combination_range(
     let full = engine.run(data, &Selection::All)?;
 
     // Enumerate every combination up front (lexicographic), then score
-    // the window concurrently against the shared read-only engine cache.
+    // them concurrently against the shared read-only engine cache.
     let mut combos: Vec<Vec<usize>> = Vec::with_capacity(n_subsets);
     let mut indices: Vec<usize> = (0..k).collect();
     loop {
@@ -125,7 +86,6 @@ pub fn score_combination_range(
             break;
         }
     }
-    let combos = &combos[win_lo..win_hi];
     let score = |r: coplot::CoplotResult| {
         if r.alienation > max_alienation {
             return None;
@@ -163,8 +123,9 @@ pub fn score_combination_range(
                 .collect::<Vec<_>>(),
         }
     });
-    let results: Vec<SubsetSearchResult> = scored.into_iter().flatten().flatten().collect();
+    let mut results: Vec<SubsetSearchResult> = scored.into_iter().flatten().flatten().collect();
     wl_obs::counter!("subset.kept", results.len() as u64);
+    rank_subset_results(&mut results, top);
     Ok(results)
 }
 
@@ -172,10 +133,8 @@ pub fn score_combination_range(
 /// `map_conservation_rmsd - 0.5 * mean_correlation` first, ties broken by
 /// the lower RMSD. Both keys compare by [`f64::total_cmp`], so a NaN score
 /// cannot panic the sort. The sort is stable, so subsets equal on both
-/// keys keep combination order — which is what lets a coordinator apply
-/// this to the concatenation of shard windows and reproduce a single-node
-/// ranking byte for byte.
-pub fn rank_subset_results(results: &mut Vec<SubsetSearchResult>, top: usize) {
+/// keys keep combination order.
+fn rank_subset_results(results: &mut Vec<SubsetSearchResult>, top: usize) {
     let score = |r: &SubsetSearchResult| r.map_conservation_rmsd - 0.5 * r.mean_correlation;
     results.sort_by(|a, b| {
         score(a)
@@ -203,9 +162,8 @@ fn next_combination(indices: &mut [usize], p: usize) -> bool {
     false
 }
 
-/// The size of the subset search space: `C(p, k)` lexicographic
-/// combinations, the index domain that [`score_combination_range`] windows
-/// over. Returns 0 when `k > p`.
+/// The size of the subset search space: the `C(p, k)` combinations
+/// [`best_variable_subset`] scores. Returns 0 when `k > p`.
 pub fn subset_space_size(p: usize, k: usize) -> usize {
     if k > p {
         return 0;
@@ -268,23 +226,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn combination_windows_reassemble_to_the_full_search() {
-        let data = redundant_data();
-        let reference = best_variable_subset(&data, 2, 1.0, 10, 1999, 1).unwrap();
-        // C(4,2) = 6 combinations, partitioned several ways.
-        for parts in [&[(0, 6)][..], &[(0, 3), (3, 6)], &[(0, 1), (1, 4), (4, 6)]] {
-            let mut merged = Vec::new();
-            for &(lo, hi) in parts {
-                merged.extend(
-                    score_combination_range(&data, 2, 1.0, 1999, 2, Some((lo, hi))).unwrap(),
-                );
-            }
-            rank_subset_results(&mut merged, 10);
-            assert_eq!(merged, reference, "partition {parts:?}");
-        }
-    }
-
     /// The ranking as two stable sorts: by RMSD (the first comparator
     /// subtracted `b.mean_correlation` on both sides), then by score.
     fn rank_by_two_sorts(results: &mut Vec<SubsetSearchResult>, top: usize) {
@@ -341,16 +282,6 @@ mod tests {
         assert_eq!(results[0].map_conservation_rmsd, 0.25);
         assert_eq!(results[1].map_conservation_rmsd, 0.5);
         assert!(results[2].map_conservation_rmsd.is_nan());
-    }
-
-    #[test]
-    fn bad_combination_window_is_an_error() {
-        let data = redundant_data();
-        for range in [(3, 3), (5, 2), (0, 7), (6, 9)] {
-            let err =
-                score_combination_range(&data, 2, 1.0, 5, 1, Some(range)).unwrap_err();
-            assert!(matches!(err, CoplotError::InvalidConfig(_)), "{range:?}: {err}");
-        }
     }
 
     #[test]

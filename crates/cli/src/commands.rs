@@ -85,8 +85,8 @@ fn parse_dataset(positional: &[String]) -> Result<DatasetSpec, String> {
 fn run_request(req: &AnalysisRequest, threads: usize) -> Result<ExecOutcome, String> {
     let envelope = coplot::Envelope::v2(req.clone());
     let req = coplot::Envelope::from_json(&envelope.to_json())
-        .and_then(coplot::Envelope::into_analysis)
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| e.to_string())?
+        .request;
     execute(&req, &ExecConfig::new(threads)).map_err(|e| e.to_string())
 }
 

@@ -62,8 +62,8 @@ pub const MAX_EXACT_INT: u64 = 1 << 53;
 pub const KNOWN_FORMATS: [&str; 3] = ["swf", "gwf", "weblog"];
 
 /// Wire-API versions this build understands. Version 1 is the original
-/// flat [`AnalysisRequest`] object; version 2 is the [`Envelope`] form
-/// that also carries distribution [`ShardRequest`]s. Advertised by
+/// flat [`AnalysisRequest`] object; version 2 is the wrapped [`Envelope`]
+/// form. Advertised by
 /// `GET /healthz` and `GET /v1/datasets`.
 pub const API_VERSIONS: [u64; 2] = [1, 2];
 
@@ -700,7 +700,7 @@ impl HurstOut {
 }
 
 /// Encode `rows` as nested JSON arrays of numbers-or-null (the body of a
-/// Hurst matrix, shared by [`HurstOut`] and hurst [`ShardResponse`]s).
+/// Hurst matrix).
 fn push_opt_rows(s: &mut String, rows: &[Vec<Option<f64>>]) {
     for (i, row) in rows.iter().enumerate() {
         if i > 0 {
@@ -774,8 +774,7 @@ impl SubsetOut {
     }
 }
 
-/// Encode scored subsets (shared by [`SubsetOut`] and subset
-/// [`ShardResponse`]s).
+/// Encode scored subsets.
 fn push_subset_entries(s: &mut String, entries: &[SubsetEntry]) {
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {
@@ -809,9 +808,8 @@ fn decode_subset_entries(items: &[JsonValue]) -> Result<Vec<SubsetEntry>, ApiErr
 /// flat [`AnalysisRequest`] object, parsed exactly as before, so every
 /// pre-envelope client, golden test and cache digest keeps its bytes. A
 /// body with `"api_version":1` is the same flat object with the version
-/// key tolerated. Version 2 wraps payloads as
-/// `{"api_version":2,"op":...,"body":{...}}` and adds the distribution
-/// op `"shard"` carrying a [`ShardRequest`]. Any other version is a
+/// key tolerated. Version 2 wraps the request as
+/// `{"api_version":2,"op":...,"body":{...}}`. Any other version is a
 /// typed [`ApiErrorKind::Version`] error (HTTP 400), never a parse
 /// panic.
 ///
@@ -823,16 +821,7 @@ pub struct Envelope {
     /// Wire API version (a member of [`API_VERSIONS`]).
     pub api_version: u64,
     /// The carried request.
-    pub payload: EnvelopePayload,
-}
-
-/// What an [`Envelope`] carries.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EnvelopePayload {
-    /// A plain analysis request (all versions).
-    Analysis(AnalysisRequest),
-    /// A distribution shard request (version 2 only).
-    Shard(ShardRequest),
+    pub request: AnalysisRequest,
 }
 
 impl Envelope {
@@ -840,7 +829,7 @@ impl Envelope {
     pub fn v1(request: AnalysisRequest) -> Envelope {
         Envelope {
             api_version: 1,
-            payload: EnvelopePayload::Analysis(request),
+            request,
         }
     }
 
@@ -848,38 +837,7 @@ impl Envelope {
     pub fn v2(request: AnalysisRequest) -> Envelope {
         Envelope {
             api_version: 2,
-            payload: EnvelopePayload::Analysis(request),
-        }
-    }
-
-    /// Wrap a shard request (version 2 by construction).
-    pub fn shard(request: ShardRequest) -> Envelope {
-        Envelope {
-            api_version: 2,
-            payload: EnvelopePayload::Shard(request),
-        }
-    }
-
-    /// Wire label of the carried op (`"coplot"`, `"hurst"`, `"subset"`,
-    /// `"shard"`).
-    pub fn op_label(&self) -> &'static str {
-        match &self.payload {
-            EnvelopePayload::Analysis(r) => r.op.label(),
-            EnvelopePayload::Shard(_) => "shard",
-        }
-    }
-
-    /// Unwrap the analysis request, rejecting shard payloads (for
-    /// endpoints that execute analyses).
-    ///
-    /// # Errors
-    /// [`ApiError`] of kind `Schema` for a shard payload.
-    pub fn into_analysis(self) -> Result<AnalysisRequest, ApiError> {
-        match self.payload {
-            EnvelopePayload::Analysis(r) => Ok(r),
-            EnvelopePayload::Shard(_) => Err(ApiError::schema(
-                "shard requests must be POSTed to /v2/shard",
-            )),
+            request,
         }
     }
 
@@ -914,12 +872,9 @@ impl Envelope {
                 let body = v
                     .get("body")
                     .ok_or_else(|| ApiError::schema("missing field \"body\""))?;
-                if op_label == "shard" {
-                    return Ok(Envelope::shard(ShardRequest::from_value(body)?));
-                }
                 let op = Operation::from_label(op_label).ok_or_else(|| {
                     ApiError::schema(format!(
-                        "op must be \"coplot\", \"hurst\", \"subset\" or \"shard\", got {op_label:?}"
+                        "op must be \"coplot\", \"hurst\" or \"subset\", got {op_label:?}"
                     ))
                 })?;
                 let body_obj = as_object(body, "body")?;
@@ -950,20 +905,15 @@ impl Envelope {
     /// request (the pre-envelope bytes); version 2 emits the wrapped
     /// form with the full flat request as `body`.
     pub fn to_json(&self) -> String {
-        match &self.payload {
-            EnvelopePayload::Analysis(r) if self.api_version == 1 => r.to_json(),
-            EnvelopePayload::Analysis(r) => format!(
-                "{{\"api_version\":{},\"op\":\"{}\",\"body\":{}}}",
-                self.api_version,
-                r.op.label(),
-                r.encode(true)
-            ),
-            EnvelopePayload::Shard(s) => format!(
-                "{{\"api_version\":{},\"op\":\"shard\",\"body\":{}}}",
-                self.api_version,
-                s.encode(true)
-            ),
+        if self.api_version == 1 {
+            return self.request.to_json();
         }
+        format!(
+            "{{\"api_version\":{},\"op\":\"{}\",\"body\":{}}}",
+            self.api_version,
+            self.request.op.label(),
+            self.request.encode(true)
+        )
     }
 
     /// The carried request's canonical digest — identical whether the
@@ -973,340 +923,27 @@ impl Envelope {
     /// # Errors
     /// The canonicalization's [`ApiError`]s.
     pub fn canonical_digest(&self) -> Result<u64, ApiError> {
-        match &self.payload {
-            EnvelopePayload::Analysis(r) => r.canonical_digest(),
-            EnvelopePayload::Shard(s) => s.canonical_digest(),
-        }
+        self.request.canonical_digest()
     }
 }
 
-/// One shard of a distributed analysis: the full base request plus which
-/// contiguous slice of its work this worker owns. Slices use *absolute*
-/// indices so a shard's result is independent of how the coordinator
-/// partitioned the total — the heart of the nodes×threads bit-identity
-/// contract.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardRequest {
-    /// The analysis being distributed (same canonical form as a
-    /// single-node request; shard seeding derives from its seed).
-    pub base: AnalysisRequest,
-    /// The slice of work.
-    pub part: ShardPart,
-}
-
-/// The contiguous work slice a [`ShardRequest`] asks for; ranges are
-/// half-open `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPart {
-    /// MDS starts `lo..hi` of a coplot request (start 0 is the classical
-    /// init; start `i > 0` seeds from `restart_seed(seed, i)`).
-    Restarts {
-        /// First start index (inclusive).
-        lo: u64,
-        /// One past the last start index.
-        hi: u64,
-    },
-    /// Workload rows `lo..hi` of a hurst request.
-    Rows {
-        /// First workload index (inclusive).
-        lo: u64,
-        /// One past the last workload index.
-        hi: u64,
-    },
-    /// Lexicographic C(p,k) combination indices `lo..hi` of a subset
-    /// request.
-    Combos {
-        /// First combination index (inclusive).
-        lo: u64,
-        /// One past the last combination index.
-        hi: u64,
-    },
-    /// The whole request, for analyses that cannot be sliced (e.g.
-    /// coplot with variable elimination).
-    Whole,
-}
-
-impl ShardPart {
-    /// Wire label of the slice kind.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            ShardPart::Restarts { .. } => "restarts",
-            ShardPart::Rows { .. } => "rows",
-            ShardPart::Combos { .. } => "combos",
-            ShardPart::Whole => "whole",
-        }
-    }
-
-    /// The half-open range, when the part has one.
-    pub fn range(&self) -> Option<(u64, u64)> {
-        match *self {
-            ShardPart::Restarts { lo, hi }
-            | ShardPart::Rows { lo, hi }
-            | ShardPart::Combos { lo, hi } => Some((lo, hi)),
-            ShardPart::Whole => None,
-        }
-    }
-
-    fn encode(&self, s: &mut String) {
-        s.push_str("{\"kind\":\"");
-        s.push_str(self.kind_label());
-        s.push('"');
-        if let Some((lo, hi)) = self.range() {
-            s.push_str(&format!(",\"lo\":{lo},\"hi\":{hi}"));
-        }
-        s.push('}');
-    }
-
-    fn from_value(v: &JsonValue) -> Result<ShardPart, ApiError> {
-        let obj = as_object(v, "part")?;
-        for key in obj.keys() {
-            match key.as_str() {
-                "kind" | "lo" | "hi" => {}
-                other => {
-                    return Err(ApiError::schema(format!(
-                        "unknown field {other:?} in shard part"
-                    )));
-                }
-            }
-        }
-        let kind = get_str(v, "kind")?;
-        if kind == "whole" {
-            if obj.len() != 1 {
-                return Err(ApiError::schema("a \"whole\" part takes no range"));
-            }
-            return Ok(ShardPart::Whole);
-        }
-        let lo = opt_u64(v, "lo")?
-            .ok_or_else(|| ApiError::schema("missing field \"lo\""))?;
-        let hi = opt_u64(v, "hi")?
-            .ok_or_else(|| ApiError::schema("missing field \"hi\""))?;
-        match kind {
-            "restarts" => Ok(ShardPart::Restarts { lo, hi }),
-            "rows" => Ok(ShardPart::Rows { lo, hi }),
-            "combos" => Ok(ShardPart::Combos { lo, hi }),
-            other => Err(ApiError::schema(format!(
-                "part kind must be \"restarts\", \"rows\", \"combos\" or \"whole\", got {other:?}"
-            ))),
-        }
-    }
-}
-
-impl ShardRequest {
-    /// Validate and normalize: canonicalize the base request, check the
-    /// slice range, and check the part kind matches the base op
-    /// (restarts ⇒ plain coplot, rows ⇒ hurst, combos ⇒ subset).
-    ///
-    /// # Errors
-    /// [`ApiError`] with kind `Value` for bad ranges or mismatched
-    /// part/op pairs.
-    pub fn canonicalize(&self) -> Result<ShardRequest, ApiError> {
-        let base = self.base.canonicalize()?;
-        if let Some((lo, hi)) = self.part.range() {
-            check_int("lo", lo)?;
-            check_int("hi", hi)?;
-            if lo >= hi {
-                return Err(ApiError::value(format!(
-                    "shard range must be non-empty, got [{lo}, {hi})"
-                )));
-            }
-        }
-        let compatible = match self.part {
-            ShardPart::Restarts { .. } => {
-                base.op == Operation::Coplot && base.min_correlation.is_none()
-            }
-            ShardPart::Rows { .. } => base.op == Operation::Hurst,
-            ShardPart::Combos { .. } => base.op == Operation::Subset,
-            ShardPart::Whole => true,
-        };
-        if !compatible {
-            return Err(ApiError::value(format!(
-                "part kind {:?} cannot slice a {:?} request",
-                self.part.kind_label(),
-                base.op.label()
-            )));
-        }
-        Ok(ShardRequest {
-            base,
-            part: self.part,
-        })
-    }
-
-    /// Serialize (canonical field order).
-    pub fn to_json(&self) -> String {
-        self.encode(true)
-    }
-
-    fn encode(&self, with_deadline: bool) -> String {
-        let mut s = String::with_capacity(320);
-        s.push_str("{\"base\":");
-        s.push_str(&self.base.encode(with_deadline));
-        s.push_str(",\"part\":");
-        self.part.encode(&mut s);
-        s.push('}');
-        s
-    }
-
-    /// Parse from JSON.
-    ///
-    /// # Errors
-    /// [`ApiError`] of kind `Json`, `Schema`, or `Value`.
-    pub fn from_json(text: &str) -> Result<ShardRequest, ApiError> {
-        let v = parse_json(text).map_err(ApiError::json)?;
-        ShardRequest::from_value(&v)
-    }
-
-    fn from_value(v: &JsonValue) -> Result<ShardRequest, ApiError> {
-        let obj = as_object(v, "shard request")?;
-        for key in obj.keys() {
-            match key.as_str() {
-                "base" | "part" => {}
-                other => {
-                    return Err(ApiError::schema(format!(
-                        "unknown field {other:?} in shard request"
-                    )));
-                }
-            }
-        }
-        let base_v = v
-            .get("base")
-            .ok_or_else(|| ApiError::schema("missing field \"base\""))?;
-        let part_v = v
-            .get("part")
-            .ok_or_else(|| ApiError::schema("missing field \"part\""))?;
-        Ok(ShardRequest {
-            base: AnalysisRequest::from_value(base_v, false)?,
-            part: ShardPart::from_value(part_v)?,
-        })
-    }
-
-    /// FNV-1a digest of the canonical encoding without `deadline_ms`.
-    ///
-    /// # Errors
-    /// The canonicalization's [`ApiError`]s.
-    pub fn canonical_digest(&self) -> Result<u64, ApiError> {
-        let r = self.canonicalize()?;
-        Ok(fnv1a(r.encode(false).as_bytes()))
-    }
-}
-
-/// A worker's answer to one [`ShardRequest`]; the variant matches the
-/// request's [`ShardPart`] kind.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShardResponse {
-    /// The complete coplot map from the shard's restart window (the
-    /// coordinator keeps the window whose alienation wins).
-    Coplot(CoplotOut),
-    /// Hurst rows for the shard's workload window, in row order.
-    Hurst {
-        /// Workload names for the window.
-        workloads: Vec<String>,
-        /// `rows[w][c]` per window workload, all 12 columns.
-        rows: Vec<Vec<Option<f64>>>,
-    },
-    /// Scored subsets for the shard's combination window, in
-    /// combination order — unranked; ranking happens once at reassembly.
-    Subset {
-        /// One entry per combination that met the alienation ceiling.
-        entries: Vec<SubsetEntry>,
-    },
-    /// The complete response for a `Whole` shard.
-    Whole(AnalysisResponse),
-}
-
-impl ShardResponse {
-    /// Wire label of the carried shard kind.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            ShardResponse::Coplot(_) => "coplot",
-            ShardResponse::Hurst { .. } => "hurst",
-            ShardResponse::Subset { .. } => "subset",
-            ShardResponse::Whole(_) => "whole",
-        }
-    }
-
-    /// Serialize in the fixed wire order.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\"shard\":\"");
-        s.push_str(self.kind_label());
-        s.push_str("\",\"result\":");
-        match self {
-            ShardResponse::Coplot(c) => c.encode(&mut s),
-            ShardResponse::Hurst { workloads, rows } => {
-                s.push_str("{\"workloads\":[");
-                push_str_array(&mut s, workloads);
-                s.push_str("],\"rows\":[");
-                push_opt_rows(&mut s, rows);
-                s.push_str("]}");
-            }
-            ShardResponse::Subset { entries } => {
-                s.push_str("{\"entries\":[");
-                push_subset_entries(&mut s, entries);
-                s.push_str("]}");
-            }
-            ShardResponse::Whole(r) => s.push_str(&r.to_json()),
-        }
-        s.push('}');
-        s
-    }
-
-    /// Parse from JSON.
-    ///
-    /// # Errors
-    /// [`ApiError`] of kind `Json` or `Schema`.
-    pub fn from_json(text: &str) -> Result<ShardResponse, ApiError> {
-        let v = parse_json(text).map_err(ApiError::json)?;
-        let kind = get_str(&v, "shard")?;
-        let result = v
-            .get("result")
-            .ok_or_else(|| ApiError::schema("missing field \"result\""))?;
-        match kind {
-            "coplot" => Ok(ShardResponse::Coplot(CoplotOut::decode(result)?)),
-            "hurst" => Ok(ShardResponse::Hurst {
-                workloads: get_str_array(result, "workloads")?,
-                rows: decode_opt_rows(result)?,
-            }),
-            "subset" => Ok(ShardResponse::Subset {
-                entries: decode_subset_entries(get_array(result, "entries")?)?,
-            }),
-            "whole" => Ok(ShardResponse::Whole(AnalysisResponse::from_value(result)?)),
-            other => Err(ApiError::schema(format!(
-                "shard must be \"coplot\", \"hurst\", \"subset\" or \"whole\", got {other:?}"
-            ))),
-        }
-    }
-}
-
-/// The one typed error body every endpoint and shard op emits:
-/// `{"error":{"kind":...,"message":...[,"retry_after_ms":N]}}`.
-/// `retry_after_ms` appears exactly when the response also carries a
-/// `Retry-After` header (503s), so machine clients get the backoff hint
-/// without header parsing.
+/// The one typed error body every endpoint emits:
+/// `{"error":{"kind":...,"message":...}}`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorBody {
     /// Stable kebab-case error class (`"bad-json"`, `"overloaded"`, ...).
     pub kind: String,
     /// Human-readable description.
     pub message: String,
-    /// Suggested client backoff, when the error is retryable.
-    pub retry_after_ms: Option<u64>,
 }
 
 impl ErrorBody {
-    /// An error body with no retry hint.
+    /// An error body.
     pub fn new(kind: impl Into<String>, message: impl Into<String>) -> ErrorBody {
         ErrorBody {
             kind: kind.into(),
             message: message.into(),
-            retry_after_ms: None,
         }
-    }
-
-    /// Attach a retry hint.
-    #[must_use]
-    pub fn with_retry_after_ms(mut self, ms: u64) -> ErrorBody {
-        self.retry_after_ms = Some(ms);
-        self
     }
 
     /// The body for a request-malformation error.
@@ -1321,11 +958,7 @@ impl ErrorBody {
         s.push_str(&escape_str(&self.kind));
         s.push_str("\",\"message\":\"");
         s.push_str(&escape_str(&self.message));
-        s.push('"');
-        if let Some(ms) = self.retry_after_ms {
-            s.push_str(&format!(",\"retry_after_ms\":{ms}"));
-        }
-        s.push_str("}}");
+        s.push_str("\"}}");
         s
     }
 
@@ -1341,7 +974,6 @@ impl ErrorBody {
         Ok(ErrorBody {
             kind: get_str(inner, "kind")?.to_string(),
             message: get_str(inner, "message")?.to_string(),
-            retry_after_ms: opt_u64(inner, "retry_after_ms")?,
         })
     }
 }
@@ -1883,14 +1515,8 @@ mod tests {
             prop_assert_eq!(p1.api_version, 1);
             let p2 = Envelope::from_json(&v2.to_json()).unwrap();
             prop_assert_eq!(p2.api_version, 2);
-            let EnvelopePayload::Analysis(r1) = p1.payload else {
-                panic!("v1 payload is analysis");
-            };
-            let EnvelopePayload::Analysis(r2) = p2.payload else {
-                panic!("v2 payload is analysis");
-            };
-            prop_assert_eq!(r1.canonicalize().unwrap(), canon.clone());
-            prop_assert_eq!(r2.canonicalize().unwrap(), canon.clone());
+            prop_assert_eq!(p1.request.canonicalize().unwrap(), canon.clone());
+            prop_assert_eq!(p2.request.canonicalize().unwrap(), canon.clone());
             prop_assert_eq!(
                 v2.canonical_digest().unwrap(),
                 canon.canonical_digest().unwrap()
@@ -1913,99 +1539,6 @@ mod tests {
         fn envelope_parser_never_panics(s in ".*") {
             let _ = Envelope::from_json(&s);
         }
-
-        /// Shard requests round-trip through both their own JSON and the
-        /// v2 envelope, with matching digests.
-        #[test]
-        fn shard_request_round_trips(s in arb_shard_request()) {
-            let parsed = ShardRequest::from_json(&s.to_json()).unwrap();
-            prop_assert_eq!(parsed.canonicalize().unwrap(), s.canonicalize().unwrap());
-            let env = Envelope::shard(s.clone());
-            let back = Envelope::from_json(&env.to_json()).unwrap();
-            prop_assert_eq!(back.api_version, 2);
-            let EnvelopePayload::Shard(inner) = back.payload else {
-                panic!("shard payload survives the envelope");
-            };
-            prop_assert_eq!(inner.canonicalize().unwrap(), s.canonicalize().unwrap());
-            prop_assert_eq!(
-                env.canonical_digest().unwrap(),
-                s.canonical_digest().unwrap()
-            );
-        }
-
-        /// Shard responses round-trip exactly (same f64 contract as
-        /// `response_round_trips`).
-        #[test]
-        fn shard_response_round_trips(r in arb_shard_response()) {
-            let parsed = ShardResponse::from_json(&r.to_json()).unwrap();
-            prop_assert_eq!(parsed, r);
-        }
-
-        /// The shard parsers never panic.
-        #[test]
-        fn shard_parsers_never_panic(s in ".*") {
-            let _ = ShardRequest::from_json(&s);
-            let _ = ShardResponse::from_json(&s);
-        }
-    }
-
-    fn arb_shard_request() -> impl Strategy<Value = ShardRequest> {
-        (arb_request(), (0u64..50, 1u64..50), proptest::bool::ANY).prop_map(
-            |(r, (lo, d), whole)| {
-                let base = r.canonicalize().unwrap();
-                let hi = lo + d;
-                let part = if whole {
-                    ShardPart::Whole
-                } else {
-                    match base.op {
-                        Operation::Coplot if base.min_correlation.is_none() => {
-                            ShardPart::Restarts { lo, hi }
-                        }
-                        Operation::Coplot => ShardPart::Whole,
-                        Operation::Hurst => ShardPart::Rows { lo, hi },
-                        Operation::Subset => ShardPart::Combos { lo, hi },
-                    }
-                };
-                ShardRequest { base, part }
-            },
-        )
-    }
-
-    fn arb_shard_response() -> impl Strategy<Value = ShardResponse> {
-        prop_oneof![
-            arb_coplot_out().prop_map(ShardResponse::Coplot).boxed(),
-            (
-                proptest::collection::vec(arb_name(), 0..4),
-                proptest::collection::vec(
-                    proptest::collection::vec(arb_opt(arb_finite()), 0..4),
-                    0..4
-                ),
-            )
-                .prop_map(|(workloads, rows)| ShardResponse::Hurst { workloads, rows })
-                .boxed(),
-            proptest::collection::vec(
-                (
-                    proptest::collection::vec(arb_name(), 0..4),
-                    arb_finite(),
-                    arb_finite(),
-                    arb_finite()
-                ),
-                0..4
-            )
-            .prop_map(|entries| ShardResponse::Subset {
-                entries: entries
-                    .into_iter()
-                    .map(|(variables, alienation, mean_correlation, rmsd)| SubsetEntry {
-                        variables,
-                        alienation,
-                        mean_correlation,
-                        map_conservation_rmsd: rmsd,
-                    })
-                    .collect(),
-            })
-            .boxed(),
-            arb_response().prop_map(ShardResponse::Whole).boxed(),
-        ]
     }
 
     #[test]
@@ -2013,12 +1546,9 @@ mod tests {
         let text = r#"{"api_version":2,"op":"coplot","body":{"dataset":{"name":"table1"}}}"#;
         let env = Envelope::from_json(text).unwrap();
         assert_eq!(env.api_version, 2);
-        let EnvelopePayload::Analysis(r) = env.payload else {
-            panic!("analysis payload");
-        };
-        assert_eq!(r.op, Operation::Coplot);
+        assert_eq!(env.request.op, Operation::Coplot);
         assert_eq!(
-            r.canonical_digest().unwrap(),
+            env.canonical_digest().unwrap(),
             coplot_request().canonical_digest().unwrap()
         );
     }
@@ -2064,37 +1594,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_part_op_pairing_is_validated() {
-        let hurst = AnalysisRequest::new(Operation::Hurst, DatasetSpec::Named("models".into()));
-        let bad = ShardRequest {
-            base: hurst.clone(),
-            part: ShardPart::Restarts { lo: 0, hi: 2 },
-        };
-        assert_eq!(bad.canonicalize().unwrap_err().kind, ApiErrorKind::Value);
-
-        let mut eliminating = coplot_request();
-        eliminating.min_correlation = Some(0.8);
-        let bad = ShardRequest {
-            base: eliminating,
-            part: ShardPart::Restarts { lo: 0, hi: 2 },
-        };
-        assert_eq!(bad.canonicalize().unwrap_err().kind, ApiErrorKind::Value);
-
-        let empty = ShardRequest {
-            base: hurst,
-            part: ShardPart::Rows { lo: 3, hi: 3 },
-        };
-        assert_eq!(empty.canonicalize().unwrap_err().kind, ApiErrorKind::Value);
-    }
-
-    #[test]
     fn error_body_round_trips() {
         let plain = ErrorBody::new("bad-json", "oops \"quoted\"");
         assert_eq!(ErrorBody::from_json(&plain.to_json()).unwrap(), plain);
-        let retry = ErrorBody::new("overloaded", "queue full").with_retry_after_ms(1000);
-        let json = retry.to_json();
-        assert!(json.contains("\"retry_after_ms\":1000"), "{json}");
-        assert_eq!(ErrorBody::from_json(&json).unwrap(), retry);
     }
 
     fn arb_finite() -> impl Strategy<Value = f64> {

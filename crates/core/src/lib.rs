@@ -68,8 +68,7 @@ pub mod runtime;
 pub use alienation::{coefficient_of_alienation, mu_statistic};
 pub use api::{
     AnalysisRequest, AnalysisResponse, ApiError, ApiErrorKind, ArrowOut, CoplotOut, DatasetSpec,
-    Envelope, EnvelopePayload, ErrorBody, HurstOut, Operation, ShardPart, ShardRequest,
-    ShardResponse, SubsetEntry, SubsetOut, API_VERSIONS,
+    Envelope, ErrorBody, HurstOut, Operation, SubsetEntry, SubsetOut, API_VERSIONS,
 };
 pub use arrows::{fit_arrow, try_fit_arrow, Arrow};
 pub use data::{DataMatrix, Imputation, NormalizedMatrix};

@@ -102,10 +102,12 @@ pub fn jacobi_eigen(a: &Matrix, tol: f64, max_sweeps: usize) -> Result<Eigen, Li
         }
     }
 
-    // Extract and sort descending. Finite input (checked above) keeps the
-    // rotations finite, so total ordering via partial_cmp cannot fail here.
+    // Extract and sort descending. Rotations of huge entries can still
+    // overflow to NaN, which `total_cmp` orders instead of panicking;
+    // adding 0.0 makes -0.0 and +0.0 tie, so equal eigenvalues keep their
+    // (stable) order.
     let mut pairs: Vec<(f64, Vec<f64>)> = (0..n).map(|i| (m[(i, i)], v.col(i))).collect();
-    pairs.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite eigenvalues"));
+    pairs.sort_by(|a, b| (b.0 + 0.0).total_cmp(&(a.0 + 0.0)));
 
     let values: Vec<f64> = pairs.iter().map(|(l, _)| *l).collect();
     let mut vectors = Matrix::zeros(n, n);
@@ -228,5 +230,28 @@ mod tests {
     fn infinite_input_is_an_error() {
         let m = Matrix::from_rows(&[vec![1.0, f64::INFINITY], vec![f64::INFINITY, 1.0]]);
         assert!(jacobi_eigen(&m, 1e-12, 10).is_err());
+    }
+
+    #[test]
+    fn extreme_finite_input_never_panics() {
+        let big = f64::MAX;
+        let m = Matrix::from_rows(&[
+            vec![big, 1e150, 0.0],
+            vec![1e150, big, 1e150],
+            vec![0.0, 1e150, -big],
+        ]);
+        let e = jacobi_eigen(&m, 1e-12, 50).unwrap();
+        assert!(e.values.windows(2).all(|w| w[0] >= w[1]), "{:?}", e.values);
+    }
+
+    #[test]
+    fn signed_zero_eigenvalues_keep_their_order() {
+        // Diagonal input: no rotations, eigenvalues -0.0 then +0.0. They
+        // tie, so the stable sort keeps the identity eigenvectors in place.
+        let m = Matrix::from_rows(&[vec![-0.0, 0.0], vec![0.0, 0.0]]);
+        let e = jacobi_eigen(&m, 1e-12, 10).unwrap();
+        assert_eq!(e.values[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(e.values[1].to_bits(), 0.0f64.to_bits());
+        assert_eq!(e.vectors.as_slice(), Matrix::identity(2).as_slice());
     }
 }

@@ -335,8 +335,8 @@ fn sender_loop(
         let mut result = client.call("POST", &opts.path, Some(&body));
         if result.is_err() {
             // A server that closed the keep-alive socket between calls
-            // (every threaded-model response is `Connection: close`)
-            // surfaces here; reconnect and resend once before calling it
+            // (idle eviction, or a `Connection: close` answer) surfaces
+            // here; reconnect and resend once before calling it
             // a transport failure. Analysis requests are pure, so the
             // resend is safe, and the measured latency honestly includes
             // the reconnect.
@@ -456,8 +456,8 @@ mod tests {
         // parses back to the same analysis request as the flat v1 body.
         let flat = template.replace("{seed}", "3");
         let v2 = wrapped.replace("{seed}", "3");
-        let from_v1 = coplot::Envelope::from_json(&flat).unwrap().into_analysis().unwrap();
-        let from_v2 = coplot::Envelope::from_json(&v2).unwrap().into_analysis().unwrap();
+        let from_v1 = coplot::Envelope::from_json(&flat).unwrap().request;
+        let from_v2 = coplot::Envelope::from_json(&v2).unwrap().request;
         assert_eq!(from_v1, from_v2);
         assert_eq!(v2_envelope_template("{\"dataset\":{}}"), None);
     }

@@ -174,7 +174,7 @@ fn fit_or_fallback(sample: &[f64]) -> Result<HyperErlang, String> {
     if sorted.len() < BANDS * 2 {
         return Err("sample too small for a quantile-banded fit".into());
     }
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let band_size = sorted.len() / BANDS;
     let mut branches = Vec::with_capacity(BANDS);
     for b in 0..BANDS {
@@ -245,7 +245,7 @@ impl WorkloadModel for Jann {
                 ));
             }
         }
-        raw.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        raw.sort_by(|a, b| a.0.total_cmp(&b.0));
         // Convert absolute times back to inter-arrivals for assembly.
         let mut prev = 0.0;
         let merged: Vec<RawJob> = raw
@@ -351,6 +351,23 @@ mod tests {
         };
         let d = wl_stats::ks_two_sample(&rt(&reference), &rt(&regen)).unwrap();
         assert!(d < 0.12, "KS distance {d}");
+    }
+
+    #[test]
+    fn nan_fields_never_panic_the_fit() {
+        let reference = Jann::default().generate(5000, &mut seeded_rng(89));
+        let mut jobs = reference.jobs().to_vec();
+        for (i, j) in jobs.iter_mut().enumerate() {
+            if i % 7 == 0 {
+                j.run_time = f64::NAN;
+            }
+            if i % 11 == 0 {
+                j.submit_time = f64::NAN;
+            }
+        }
+        let poisoned = wl_swf::Workload::new("nan", crate::common::model_machine(), jobs);
+        let fitted = Jann::fit_from_workload(&poisoned).expect("enough finite jobs remain");
+        assert!(!fitted.generate(500, &mut seeded_rng(90)).is_empty());
     }
 
     #[test]

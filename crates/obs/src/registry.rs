@@ -111,7 +111,9 @@ impl HistogramSnapshot {
     }
 
     /// Approximate quantile from the log2 buckets: the upper bound of the
-    /// first bucket whose cumulative count reaches `q * count`.
+    /// first bucket whose cumulative count reaches `q * count`, clamped to
+    /// the recorded max. Either bound is an upper bound on the true
+    /// quantile; the clamp keeps a quantile from exceeding the max.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -122,7 +124,12 @@ impl HistogramSnapshot {
             cum = cum.saturating_add(*b);
             if cum >= target {
                 // Bucket i holds values of bit length i: upper bound 2^i - 1.
-                return if i == 0 { 0 } else { (1u64 << i.min(63)) - 1 + u64::from(i == 64) };
+                let bound = if i == 0 {
+                    0
+                } else {
+                    (1u64 << i.min(63)) - 1 + u64::from(i == 64)
+                };
+                return bound.min(self.max);
             }
         }
         self.max
@@ -288,6 +295,20 @@ mod tests {
         assert_eq!(after.min, 0);
         assert!(after.max >= 100);
         assert!(after.quantile(1.0) >= 100);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_recorded_max() {
+        let h = Histogram::new();
+        h.record(300);
+        let s = h.snapshot();
+        // 300 sits in the [256, 511] bucket; the bound clamps to the max.
+        assert_eq!(s.quantile(0.5), 300);
+        assert_eq!(s.quantile(0.99), 300);
+        h.record(3);
+        let s = h.snapshot();
+        assert_eq!(s.quantile(0.5), 3, "bucket [2, 3] bound is below the max");
+        assert_eq!(s.quantile(0.99), 300);
     }
 
     #[test]

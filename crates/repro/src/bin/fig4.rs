@@ -47,7 +47,7 @@ fn main() {
     for m in ["Lublin", "Feitelson '96", "Feitelson '97", "Downey", "Jann"] {
         let closest = logs
             .iter()
-            .min_by(|a, b| d(m, a).partial_cmp(&d(m, b)).unwrap())
+            .min_by(|a, b| d(m, a).total_cmp(&d(m, b)))
             .unwrap();
         println!("  {m:<15} -> {closest} ({:.3})", d(m, closest));
     }

@@ -1,10 +1,10 @@
 //! `wl-serve` — the Co-plot analysis service.
 //!
 //! ```text
-//! wl-serve [--addr HOST:PORT] [--conn-model event|threaded] [--workers N]
-//!          [--queue N] [--cache N] [--deadline-ms N] [--idle-timeout-ms N]
-//!          [--batch-max N] [--stdin-shutdown]
-//!          [--threads N] [--trace text|json] [--metrics-out PATH]
+//! wl-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
+//!          [--deadline-ms N] [--idle-timeout-ms N] [--batch-max N]
+//!          [--stdin-shutdown] [--threads N] [--trace text|json]
+//!          [--metrics-out PATH]
 //! ```
 //!
 //! Prints `wl-serve listening on http://HOST:PORT` once bound (scripts
@@ -14,10 +14,8 @@
 
 use std::io::{Read, Write};
 use std::process::ExitCode;
-use std::time::Duration;
 
-use wl_serve::dist::CoordinatorConfig;
-use wl_serve::server::{start, ConnModel, ServerConfig};
+use wl_serve::server::{start, ServerConfig};
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,10 +33,6 @@ fn main() -> ExitCode {
         ..ServerConfig::default()
     };
     let mut stdin_shutdown = false;
-    let mut coordinator = false;
-    let mut fleet_workers: Vec<String> = Vec::new();
-    let mut probe_interval_ms: u64 = CoordinatorConfig::default().probe_interval_ms;
-    let mut register_with: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -48,18 +42,12 @@ fn main() -> ExitCode {
                 i += 1;
                 continue;
             }
-            "--coordinator" => {
-                coordinator = true;
-                i += 1;
-                continue;
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             "--addr" | "--workers" | "--queue" | "--cache" | "--deadline-ms"
-            | "--conn-model" | "--idle-timeout-ms" | "--batch-max" | "--worker"
-            | "--probe-interval-ms" | "--register" => {}
+            | "--idle-timeout-ms" | "--batch-max" => {}
             other => return fail(&format!("unknown flag {other:?}\n{USAGE}")),
         }
         let Some(value) = args.get(i + 1) else {
@@ -67,12 +55,6 @@ fn main() -> ExitCode {
         };
         match flag {
             "--addr" => config.addr = value.clone(),
-            "--worker" => fleet_workers.push(value.clone()),
-            "--probe-interval-ms" => match value.parse() {
-                Ok(n) if n > 0 => probe_interval_ms = n,
-                _ => return fail("--probe-interval-ms needs a positive integer"),
-            },
-            "--register" => register_with = Some(value.clone()),
             "--workers" => match value.parse() {
                 Ok(n) if n > 0 => config.workers = n,
                 _ => return fail("--workers needs a positive integer"),
@@ -89,10 +71,6 @@ fn main() -> ExitCode {
                 Ok(n) if n > 0 => config.default_deadline_ms = Some(n),
                 _ => return fail("--deadline-ms needs a positive integer"),
             },
-            "--conn-model" => match ConnModel::from_name(value) {
-                Some(m) => config.conn_model = m,
-                None => return fail("--conn-model must be `event` or `threaded`"),
-            },
             "--idle-timeout-ms" => match value.parse() {
                 Ok(n) if n > 0 => config.idle_timeout_ms = n,
                 _ => return fail("--idle-timeout-ms needs a positive integer"),
@@ -106,36 +84,12 @@ fn main() -> ExitCode {
         i += 2;
     }
 
-    if coordinator {
-        config.coordinator = Some(CoordinatorConfig {
-            workers: fleet_workers,
-            probe_interval_ms,
-        });
-    } else if !fleet_workers.is_empty() {
-        return fail("--worker requires --coordinator");
-    }
-
     let handle = match start(config) {
         Ok(h) => h,
         Err(e) => return fail(&format!("cannot bind: {e}")),
     };
     println!("wl-serve listening on http://{}", handle.addr());
     let _ = std::io::stdout().flush();
-
-    if let Some(coordinator_addr) = register_with {
-        // Announce this worker to its coordinator in the background,
-        // retrying while the coordinator is still coming up.
-        let self_addr = handle.addr().to_string();
-        std::thread::spawn(move || {
-            for _ in 0..20 {
-                if wl_serve::dist::wire::register_with(&coordinator_addr, &self_addr).is_ok() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            eprintln!("wl-serve: could not register with {coordinator_addr}");
-        });
-    }
 
     if stdin_shutdown {
         let drainer = handle.drainer();
@@ -163,35 +117,26 @@ fn fail(msg: &str) -> ExitCode {
 const USAGE: &str = "wl-serve — Co-plot analysis service
 
 USAGE:
-  wl-serve [--addr HOST:PORT] [--conn-model event|threaded] [--workers N]
-           [--queue N] [--cache N] [--deadline-ms N] [--idle-timeout-ms N]
-           [--batch-max N] [--stdin-shutdown]
-           [--coordinator] [--worker HOST:PORT]... [--probe-interval-ms N]
-           [--register HOST:PORT]
-           [--threads N] [--trace text|json] [--metrics-out PATH]
+  wl-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
+           [--deadline-ms N] [--idle-timeout-ms N] [--batch-max N]
+           [--stdin-shutdown] [--threads N] [--trace text|json]
+           [--metrics-out PATH]
+
+  One poll(2) reactor multiplexes every connection; workers execute
+  analyses and batch queued requests over the same dataset.
 
   --addr HOST:PORT   bind address (default 127.0.0.1:1999; port 0 = ephemeral)
-  --conn-model M     `event` (default): one poll(2) reactor multiplexes all
-                     connections, workers batch same-dataset requests;
-                     `threaded`: one blocking worker per connection
   --workers N        request worker threads (default 2)
   --queue N          admission queue capacity; full queue answers 503 (default 32)
   --cache N          result-cache entries, 0 disables (default 128)
   --deadline-ms N    default per-request deadline when the request has none
-  --idle-timeout-ms N  event model: evict idle connections (mid-request
-                     idlers get 408) after this long (default 10000)
-  --batch-max N      event model: most requests coalesced per batch (default 8)
+  --idle-timeout-ms N  evict idle connections (mid-request idlers get 408)
+                     after this long (default 10000)
+  --batch-max N      most requests coalesced per batch (default 8)
   --stdin-shutdown   drain gracefully when a byte arrives on stdin
-  --coordinator      run as a fleet coordinator: analyses are sharded across
-                     registered workers (results byte-identical to one node)
-  --worker H:P       (with --coordinator, repeatable) a worker address; more
-                     may register at runtime via POST /v2/workers
-  --probe-interval-ms N  coordinator health-probe period (default 1000)
-  --register H:P     announce this server to a coordinator after binding
   --threads N        engine threads per request (default WL_THREADS, then
                      the available parallelism)
   --trace/--metrics-out  wl-obs session flags (also scraped live at /metrics)
 
 Endpoints: POST /v1/coplot /v1/hurst /v1/subset /v1/stream /v1/shutdown
-           POST /v2/analyze /v2/shard /v2/workers;
-           GET /v1/datasets /v2/fleet /metrics /healthz";
+           POST /v2/analyze; GET /v1/datasets /metrics /healthz";

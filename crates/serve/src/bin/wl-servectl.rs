@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! wl-servectl METHOD http://HOST:PORT/PATH [BODY-FILE]
-//! wl-servectl fleet-status http://COORDINATOR
-//! wl-servectl fleet-register http://COORDINATOR WORKER_HOST:PORT
 //! ```
 //!
 //! Prints the response body to stdout and `HTTP <status>` to stderr; exits
@@ -12,19 +10,11 @@
 
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: wl-servectl METHOD http://HOST:PORT/PATH [BODY-FILE]
-       wl-servectl fleet-status http://COORDINATOR
-       wl-servectl fleet-register http://COORDINATOR WORKER_HOST:PORT";
+const USAGE: &str = "usage: wl-servectl METHOD http://HOST:PORT/PATH [BODY-FILE]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (method, url, body) = match args.as_slice() {
-        [sub, u] if sub == "fleet-status" => ("GET".to_string(), join(u, "/v2/fleet"), None),
-        [sub, u, worker] if sub == "fleet-register" => (
-            "POST".to_string(),
-            join(u, "/v2/workers"),
-            Some(format!("{{\"addr\":\"{}\"}}", wl_obs::escape_str(worker))),
-        ),
         [m, u] => (m.clone(), u.clone(), None),
         [m, u, f] => {
             let body = match std::fs::read_to_string(f) {
@@ -54,11 +44,6 @@ fn main() -> ExitCode {
         }
         Err(e) => fail(&format!("request failed: {e}")),
     }
-}
-
-/// Append `path` to a base URL, tolerating a trailing slash.
-fn join(base: &str, path: &str) -> String {
-    format!("{}{}", base.trim_end_matches('/'), path)
 }
 
 fn fail(msg: &str) -> ExitCode {

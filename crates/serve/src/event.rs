@@ -1,5 +1,5 @@
-//! The event-driven connection model: one reactor thread drives every
-//! socket non-blocking through `poll(2)` ([`wl_par::poll`]), a worker pool
+//! The server's connection model: one reactor thread drives every socket
+//! non-blocking through `poll(2)` ([`wl_par::poll`]), a worker pool
 //! executes fully-parsed requests, and requests sharing a dataset digest
 //! coalesce into batches (see [`crate::batch`]).
 //!
@@ -23,9 +23,9 @@
 //! bytes wait in the buffer — responses stay in request order by
 //! construction). Idle connections are evicted on a deadline: mid-request
 //! idlers (slowloris) get a typed 408, idle keep-alive connections close
-//! silently. Admission is bounded by the same `queue_capacity` knob as the
-//! threaded model; a full queue answers 503 + `Retry-After` inline without
-//! dropping the connection.
+//! silently. Admission is bounded by the `queue_capacity` knob; a full
+//! queue answers 503 + `Retry-After` inline without dropping the
+//! connection.
 //!
 //! Drain: stop accepting, drop idle connections, answer any further
 //! parsed requests 503 `draining`, let dispatched work finish and flush,
@@ -46,13 +46,10 @@ use wl_par::poll::{waker, PollSet, WakeReceiver, Waker};
 
 use crate::batch::{record_batch, take_batch, BatchKey, BatchMemo};
 use crate::cache::ResultCache;
-use crate::dist::coordinator::{aggregated_metrics, execute_via_fleet};
-use crate::dist::worker::{execute_prepared_shard, prepare_shard, PreparedShard};
-use crate::dist::Coordinator;
 use crate::http::{try_parse, HttpError, ParseStatus, Request, Response};
 use crate::server::{
-    classify, error_body, execute_prepared, fleet_response, own_metrics_response,
-    prepare_analysis, record_status, stream_response, Endpoint, Prepared, Routed, ServerConfig,
+    classify, error_body, execute_prepared, prepare_analysis, record_status, stream_response,
+    Endpoint, Prepared, Routed, ServerConfig,
 };
 
 /// One unit of work bound for the pool: a fully-parsed, validated request
@@ -69,11 +66,6 @@ struct Job {
 enum JobKind {
     Analysis(Prepared),
     Stream(Request),
-    /// A `/v2/shard` POST (workers in a fleet run these).
-    Shard(PreparedShard),
-    /// Coordinator `GET /metrics`: scraping workers is network I/O, so it
-    /// runs on the pool, never the reactor.
-    FleetMetrics,
 }
 
 /// A finished job: response bytes ready to splice into the connection's
@@ -85,7 +77,7 @@ struct Completion {
 }
 
 /// State shared between the reactor and the workers.
-pub(crate) struct EventShared {
+pub(crate) struct Shared {
     config: ServerConfig,
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
@@ -94,56 +86,26 @@ pub(crate) struct EventShared {
     inflight: AtomicI64,
     cache: ResultCache,
     waker: Waker,
-    coordinator: Option<Arc<Coordinator>>,
 }
 
-/// A cloneable drain trigger for the event model.
-#[derive(Clone)]
-pub(crate) struct EventDrainer {
-    shared: Arc<EventShared>,
-}
-
-impl EventDrainer {
-    pub(crate) fn initiate(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.available.notify_all();
-        self.shared.waker.wake();
+impl Shared {
+    /// Begin draining: stop accepting, let queued and in-flight work
+    /// finish.
+    pub(crate) fn initiate_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        self.available.notify_all();
+        self.waker.wake();
     }
 }
 
-/// The running event server: reactor thread + worker pool.
-pub(crate) struct EventHandle {
-    shared: Arc<EventShared>,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl EventHandle {
-    pub(crate) fn drainer(&self) -> EventDrainer {
-        EventDrainer {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    pub(crate) fn join(mut self) {
-        if let Some(t) = self.reactor.take() {
-            let _ = t.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
+/// The reactor thread and the worker pool of a started server.
+type Threads = (Arc<Shared>, JoinHandle<()>, Vec<JoinHandle<()>>);
 
 /// Start the reactor and workers on an already-bound, non-blocking
 /// listener.
-pub(crate) fn start(
-    listener: TcpListener,
-    config: ServerConfig,
-    coordinator: Option<Arc<Coordinator>>,
-) -> io::Result<EventHandle> {
+pub(crate) fn spawn(listener: TcpListener, config: ServerConfig) -> io::Result<Threads> {
     let (wake_tx, wake_rx) = waker()?;
-    let shared = Arc::new(EventShared {
+    let shared = Arc::new(Shared {
         cache: ResultCache::new(config.cache_capacity),
         config,
         queue: Mutex::new(VecDeque::new()),
@@ -152,7 +114,6 @@ pub(crate) fn start(
         draining: AtomicBool::new(false),
         inflight: AtomicI64::new(0),
         waker: wake_tx,
-        coordinator,
     });
 
     let workers = (0..shared.config.workers.max(1))
@@ -166,11 +127,7 @@ pub(crate) fn start(
     let reactor =
         std::thread::spawn(move || reactor_loop(&listener, wake_rx, &reactor_shared));
 
-    Ok(EventHandle {
-        shared,
-        reactor: Some(reactor),
-        workers,
-    })
+    Ok((shared, reactor, workers))
 }
 
 /// Per-connection state machine.
@@ -228,7 +185,7 @@ enum Fate {
     Dead,
 }
 
-fn reactor_loop(listener: &TcpListener, mut wake_rx: WakeReceiver, shared: &Arc<EventShared>) {
+fn reactor_loop(listener: &TcpListener, mut wake_rx: WakeReceiver, shared: &Arc<Shared>) {
     let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
     let mut next_id: u64 = 0;
     let mut set = PollSet::new();
@@ -450,7 +407,7 @@ fn write_some(conn: &mut Conn) -> Result<Fate, Fate> {
 fn dispatch_buffered(
     id: u64,
     conn: &mut Conn,
-    shared: &Arc<EventShared>,
+    shared: &Arc<Shared>,
     draining: bool,
 ) -> Result<Fate, Fate> {
     while !conn.busy && !conn.close_after_write {
@@ -465,7 +422,6 @@ fn dispatch_buffered(
                 conn.push_response(&response, false);
                 return Ok(Fate::Alive); // flushed, then closed, by the caller
             }
-            Err(HttpError::Io(_)) => return Err(Fate::Dead), // unreachable: try_parse does no I/O
         };
         conn.buf.drain(..consumed);
         let started = Instant::now();
@@ -487,59 +443,8 @@ fn dispatch_buffered(
                 endpoint.record_latency(started.elapsed().as_micros() as u64);
                 conn.push_response(&response, keep_alive);
             }
-            Routed::Metrics => {
-                if shared.coordinator.is_some() {
-                    // Scraping the fleet blocks on sockets; pool it.
-                    enqueue(
-                        conn,
-                        shared,
-                        Job {
-                            conn: id,
-                            keep_alive,
-                            started,
-                            endpoint: Endpoint::Metrics,
-                            key: BatchKey::Solo,
-                            kind: JobKind::FleetMetrics,
-                        },
-                    );
-                } else {
-                    let response = own_metrics_response();
-                    record_status(response.status);
-                    Endpoint::Metrics.record_latency(started.elapsed().as_micros() as u64);
-                    conn.push_response(&response, keep_alive);
-                }
-            }
-            Routed::Fleet(fleet_route) => {
-                let response =
-                    fleet_response(&request, fleet_route, shared.coordinator.as_deref());
-                record_status(response.status);
-                Endpoint::Fleet.record_latency(started.elapsed().as_micros() as u64);
-                conn.push_response(&response, keep_alive);
-            }
-            Routed::Shard => match prepare_shard(&request) {
-                Err(response) => {
-                    record_status(response.status);
-                    Endpoint::Shard.record_latency(started.elapsed().as_micros() as u64);
-                    conn.push_response(&response, keep_alive);
-                }
-                Ok(prepared) => {
-                    enqueue(
-                        conn,
-                        shared,
-                        Job {
-                            conn: id,
-                            keep_alive,
-                            started,
-                            endpoint: Endpoint::Shard,
-                            key: BatchKey::Solo,
-                            kind: JobKind::Shard(prepared),
-                        },
-                    );
-                }
-            },
             Routed::Shutdown => {
-                shared.draining.store(true, Ordering::SeqCst);
-                shared.available.notify_all();
+                shared.initiate_drain();
                 let response = Response::text(200, "draining\n");
                 record_status(200);
                 Endpoint::Shutdown.record_latency(started.elapsed().as_micros() as u64);
@@ -589,7 +494,7 @@ fn dispatch_buffered(
 /// Admit a job to the worker queue, or answer 503 + `Retry-After` inline
 /// when the queue is at capacity (the connection survives the rejection —
 /// the client can retry on the same socket).
-fn enqueue(conn: &mut Conn, shared: &Arc<EventShared>, job: Job) {
+fn enqueue(conn: &mut Conn, shared: &Arc<Shared>, job: Job) {
     let keep_alive = job.keep_alive;
     let admitted = {
         let mut queue = shared.queue.lock().unwrap();
@@ -620,7 +525,7 @@ fn enqueue(conn: &mut Conn, shared: &Arc<EventShared>, job: Job) {
 
 /// Worker: pop a batch of same-digest jobs, execute them against one
 /// shared memo, push the serialized responses back to the reactor.
-fn worker_loop(shared: &Arc<EventShared>) {
+fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let batch = {
             let mut queue = shared.queue.lock().unwrap();
@@ -644,18 +549,10 @@ fn worker_loop(shared: &Arc<EventShared>) {
         let memo = BatchMemo::new();
         for job in batch {
             let response = match &job.kind {
-                JobKind::Analysis(prepared) => match shared.coordinator.as_deref() {
-                    Some(c) => execute_via_fleet(c, prepared, &shared.config, &shared.cache),
-                    None => execute_prepared(prepared, &shared.config, &shared.cache, Some(&memo)),
-                },
-                JobKind::Stream(request) => stream_response(request, shared.config.threads),
-                JobKind::Shard(prepared) => {
-                    execute_prepared_shard(prepared, &shared.config, &shared.cache)
+                JobKind::Analysis(prepared) => {
+                    execute_prepared(prepared, &shared.config, &shared.cache, Some(&memo))
                 }
-                JobKind::FleetMetrics => match shared.coordinator.as_deref() {
-                    Some(c) => aggregated_metrics(c),
-                    None => own_metrics_response(),
-                },
+                JobKind::Stream(request) => stream_response(request, shared.config.threads),
             };
             record_status(response.status);
             job.endpoint

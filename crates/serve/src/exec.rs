@@ -25,8 +25,7 @@ use coplot::engine::{
 use coplot::{
     AnalysisRequest, AnalysisResponse, ApiError, CoplotEngine, CoplotError, CoplotOut,
     DataMatrix, DatasetSpec, DissimilarityMatrix, HurstOut, Imputation, MdsConfig, MdsSolution,
-    Metric, NormalizedMatrix, Operation, Selection, ShardPart, ShardRequest, ShardResponse,
-    StageReport, SubsetEntry, SubsetOut,
+    Metric, NormalizedMatrix, Operation, Selection, StageReport, SubsetEntry, SubsetOut,
 };
 use wl_linalg::Matrix;
 use wl_swf::Workload;
@@ -127,93 +126,6 @@ pub fn execute_with_memo(
     }
 }
 
-/// Execute one work slice of a distributed analysis (see
-/// [`coplot::ShardRequest`]). This is what an ordinary `wl-serve` worker
-/// runs when a coordinator POSTs to `/v2/shard`:
-///
-/// * `restarts [lo, hi)` — the coplot pipeline with
-///   [`MdsConfig::restart_range`] set, so the shard tries exactly the MDS
-///   starts `lo..hi` of the full run's `0..restarts+1` (same absolute
-///   [`coplot::restart_seed`] indices) and returns its window winner;
-/// * `rows [lo, hi)` — Hurst estimator rows for that slice of the
-///   dataset's workloads (each row depends only on its own workload);
-/// * `combos [lo, hi)` — the subset search scored over that window of the
-///   lexicographic combination order, unranked;
-/// * `whole` — the entire base request (used for unsliceable shapes such
-///   as coplot with variable elimination).
-///
-/// Every slice computes bit-identical values to the corresponding piece of
-/// a single-node run, which is what lets the coordinator reassemble
-/// byte-identical responses for any worker count.
-///
-/// # Errors
-/// See [`ExecError`]; out-of-bounds slice ranges surface as
-/// [`CoplotError::InvalidConfig`].
-pub fn execute_shard(request: &ShardRequest, cfg: &ExecConfig) -> Result<ShardResponse, ExecError> {
-    let req = request.canonicalize().map_err(ExecError::Api)?;
-    check_deadline(cfg, "load")?;
-    let workloads = load_dataset(&req.base, cfg)?;
-    match req.part {
-        ShardPart::Whole => {
-            let outcome = run_canonical(&req.base, cfg, &workloads)?;
-            Ok(ShardResponse::Whole(outcome.response))
-        }
-        ShardPart::Restarts { lo, hi } => {
-            let data = data_matrix(&req.base, &workloads, None)?;
-            let engine = build_engine(req.base.seed, cfg, None, Some((lo as usize, hi as usize)));
-            // canonicalize() rejected restarts-parts with elimination, so
-            // the selection is always the full variable set here.
-            let result = engine.run(&data, &Selection::All).map_err(ExecError::Analysis)?;
-            Ok(ShardResponse::Coplot(CoplotOut::from_result(&result)))
-        }
-        ShardPart::Rows { lo, hi } => {
-            check_deadline(cfg, "hurst")?;
-            let (lo, hi) = (lo as usize, hi as usize);
-            if hi > workloads.len() {
-                return Err(ExecError::Analysis(CoplotError::InvalidConfig(format!(
-                    "row range [{lo}, {hi}) exceeds the dataset's {} workloads",
-                    workloads.len()
-                ))));
-            }
-            let slice = &workloads[lo..hi];
-            Ok(ShardResponse::Hurst {
-                workloads: slice.iter().map(|w| w.name.clone()).collect(),
-                rows: wl_repro::hurst_rows(slice, cfg.threads),
-            })
-        }
-        ShardPart::Combos { lo, hi } => {
-            let data = data_matrix(&req.base, &workloads, None)?;
-            check_deadline(cfg, "subset")?;
-            let results = wl_analysis::subset::score_combination_range(
-                &data,
-                req.base.subset_size as usize,
-                req.base.max_alienation,
-                req.base.seed,
-                cfg.threads,
-                Some((lo as usize, hi as usize)),
-            )
-            .map_err(ExecError::Analysis)?;
-            Ok(ShardResponse::Subset {
-                entries: results.into_iter().map(subset_entry).collect(),
-            })
-        }
-    }
-}
-
-/// Dispatch an already-canonical request against already-loaded workloads
-/// (the shared tail of [`execute_with_memo`] and [`execute_shard`]).
-fn run_canonical(
-    req: &AnalysisRequest,
-    cfg: &ExecConfig,
-    workloads: &[Workload],
-) -> Result<ExecOutcome, ExecError> {
-    match req.op {
-        Operation::Coplot => run_coplot(req, cfg, workloads, None),
-        Operation::Hurst => run_hurst(req, cfg, workloads),
-        Operation::Subset => run_subset(req, cfg, workloads, None),
-    }
-}
-
 fn check_deadline(cfg: &ExecConfig, stage: &'static str) -> Result<(), ExecError> {
     match cfg.deadline {
         Some(d) if Instant::now() >= d => {
@@ -264,7 +176,7 @@ fn run_coplot(
     memo: Option<Arc<VarsMemo>>,
 ) -> Result<ExecOutcome, ExecError> {
     let data = data_matrix(req, workloads, memo.as_ref())?;
-    let engine = build_engine(req.seed, cfg, memo, None);
+    let engine = build_engine(req.seed, cfg, memo);
     let selection = match req.min_correlation {
         Some(min_correlation) => Selection::Eliminate { min_correlation },
         None => Selection::All,
@@ -295,8 +207,8 @@ fn run_hurst(
 }
 
 /// The 12-column Hurst header (series-major, estimator-minor) every front
-/// end and the shard merger share.
-pub(crate) fn hurst_columns() -> Vec<String> {
+/// end shares.
+fn hurst_columns() -> Vec<String> {
     let mut columns = Vec::with_capacity(12);
     for series in wl_swf::JobSeries::ALL {
         for est in wl_selfsim::HurstEstimator::ALL {
@@ -331,7 +243,7 @@ fn run_subset(
     })
 }
 
-pub(crate) fn subset_entry(r: wl_analysis::SubsetSearchResult) -> SubsetEntry {
+fn subset_entry(r: wl_analysis::SubsetSearchResult) -> SubsetEntry {
     SubsetEntry {
         variables: r.variables,
         alienation: r.alienation,
@@ -353,24 +265,14 @@ pub(crate) fn subset_entry(r: wl_analysis::SubsetSearchResult) -> SubsetEntry {
 ///
 /// Every wrapper forwards verbatim, so a wrapped run that completes is
 /// bit-identical to a bare one.
-///
-/// A `restart_range` (shard execution) narrows the MDS starts to that
-/// absolute window of `0..restarts+1` — same per-start seeds, so the
-/// window winner is the best of exactly those starts of a full run.
-fn build_engine(
-    seed: u64,
-    cfg: &ExecConfig,
-    memo: Option<Arc<VarsMemo>>,
-    restart_range: Option<(usize, usize)>,
-) -> CoplotEngine {
+fn build_engine(seed: u64, cfg: &ExecConfig, memo: Option<Arc<VarsMemo>>) -> CoplotEngine {
     let builder = CoplotEngine::builder().seed(seed).threads(cfg.threads);
-    if cfg.deadline.is_none() && memo.is_none() && restart_range.is_none() {
+    if cfg.deadline.is_none() && memo.is_none() {
         return builder.build();
     }
     let mds = MdsConfig {
         seed,
         threads: cfg.threads,
-        restart_range,
         ..MdsConfig::default()
     };
     let mut normalizer: Box<dyn Normalizer> = Box::new(ZScoreNormalizer {

@@ -15,10 +15,7 @@
 //! | `/v1/stream` | POST | streaming windowed Co-plot session (JSON lines) |
 //! | `/v1/datasets` | GET | the named datasets the server can synthesize |
 //! | `/v2/analyze` | POST | any analysis via the versioned envelope (`op` in the body) |
-//! | `/v2/shard` | POST | one work slice of a distributed analysis (fleet-internal) |
-//! | `/v2/workers` | POST | worker registration (coordinator only) |
-//! | `/v2/fleet` | GET | worker table with liveness (coordinator only) |
-//! | `/metrics` | GET | `wl-obs` metrics as JSON lines (`trace-check` clean; fleet-aggregated on a coordinator) |
+//! | `/metrics` | GET | `wl-obs` metrics as JSON lines (`trace-check` clean) |
 //! | `/healthz` | GET | liveness + supported `api_versions` |
 //! | `/v1/shutdown` | POST | graceful drain |
 //!
@@ -30,18 +27,20 @@
 //! The layers, bottom up: [`exec`] executes one request (shared with the
 //! CLI — byte parity by construction), [`datasets`] names and digests the
 //! data, [`cache`] memoizes responses content-addressed by
-//! `(dataset digest, canonical request digest)`, [`server`] wraps it
-//! all in bounded admission (full queue → 503 + `Retry-After`),
-//! per-request deadlines (aborted between engine stages → 504), and a
-//! graceful drain that lets in-flight requests finish, and [`dist`]
-//! scales the whole thing out: `wl-serve --coordinator` shards analyses
-//! across ordinary `wl-serve` workers with byte-identical results for
-//! any worker count.
+//! `(dataset digest, canonical request digest)`, [`batch`] shares engine
+//! stages among queued requests over one dataset, [`event`] multiplexes
+//! every connection on one `poll(2)` reactor, and [`server`] wraps it all
+//! in bounded admission (full queue → 503 + `Retry-After`), per-request
+//! deadlines (aborted between engine stages → 504), and a graceful drain
+//! that lets in-flight requests finish.
+//!
+//! One process is one node. Requests are independent and deterministic,
+//! so capacity beyond one box comes from identical replicas behind any
+//! HTTP load balancer.
 
 pub mod batch;
 pub mod cache;
 pub mod datasets;
-pub mod dist;
 pub mod event;
 pub mod exec;
 pub mod http;
@@ -51,7 +50,6 @@ pub mod stream;
 pub use batch::{BatchKey, BatchMemo};
 pub use cache::ResultCache;
 pub use datasets::NamedDataset;
-pub use dist::{Coordinator, CoordinatorConfig};
-pub use exec::{execute, execute_shard, execute_with_memo, ExecConfig, ExecError, ExecOutcome};
-pub use server::{start, ConnModel, Drainer, ServerConfig, ServerHandle};
+pub use exec::{execute, execute_with_memo, ExecConfig, ExecError, ExecOutcome};
+pub use server::{start, Drainer, ServerConfig, ServerHandle};
 pub use stream::{event_json, parse_stream_request, run_stream_text, StreamOptions};

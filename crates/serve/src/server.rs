@@ -1,18 +1,18 @@
-//! The `wl-serve` server loop: bounded admission, worker pool, graceful
-//! drain.
+//! The `wl-serve` server: configuration, the running-server handle,
+//! routing, and the request handlers the event reactor ([`crate::event`])
+//! calls.
 //!
-//! Architecture: one accept thread pushes connections onto a bounded
-//! queue; `workers` request threads pop and handle them, each running
-//! analyses through [`crate::exec::execute`] on `threads` engine workers.
-//! When the queue is full the accept thread answers 503 + `Retry-After`
-//! from a short-lived rejecter thread — overload never consumes worker
-//! time, and the driving client gets an explicit backpressure signal
-//! instead of a hung socket.
+//! Architecture: one reactor thread drives every socket through `poll(2)`
+//! and answers cheap endpoints inline; `workers` request threads execute
+//! analyses through [`crate::exec`] on `threads` engine workers. A full
+//! admission queue answers 503 + `Retry-After` — overload never consumes
+//! worker time, and the driving client gets an explicit backpressure
+//! signal instead of a hung socket.
 //!
 //! Graceful drain: `POST /v1/shutdown` (or
-//! [`ServerHandle::initiate_drain`]) stops the accept loop; workers keep
-//! popping until the queue is empty, finish their in-flight requests, and
-//! exit. [`ServerHandle::join`] returns once everything is drained.
+//! [`ServerHandle::initiate_drain`]) stops accepting; workers finish the
+//! queued and in-flight requests, and [`ServerHandle::join`] returns once
+//! everything is drained.
 //!
 //! Instrumentation (all behind the `wl-obs` registry, scraped at
 //! `GET /metrics` as the same JSON-lines format `trace-check` validates):
@@ -20,46 +20,18 @@
 //! counters (`serve.http.*`), cache counters (`serve.cache.*`), and the
 //! `serve.queue.depth` / `serve.inflight` gauges.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use coplot::{AnalysisRequest, Envelope, EnvelopePayload, ErrorBody, Operation};
+use coplot::{AnalysisRequest, Envelope, ErrorBody, Operation};
 
 use crate::cache::ResultCache;
 use crate::datasets;
-use crate::dist::{self, Coordinator, CoordinatorConfig};
+use crate::event::Shared;
 use crate::exec::{self, ExecConfig, ExecError};
-use crate::http::{read_request, HttpError, Request, Response};
-
-/// How the server multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnModel {
-    /// One worker thread per admitted connection, blocking I/O — the
-    /// original model. A slow client occupies a worker for its whole
-    /// request; concurrency is capped at `workers`.
-    Threaded,
-    /// One reactor thread drives every socket non-blocking through
-    /// `poll(2)` ([`wl_par::poll`]); workers only ever see fully-parsed
-    /// requests and batch the ones sharing a dataset digest (see
-    /// [`crate::batch`]). Keep-alive, pipelining, idle eviction and
-    /// slow clients cost a connection-table slot, not a thread.
-    Event,
-}
-
-impl ConnModel {
-    /// Parse a `--conn-model` flag value.
-    pub fn from_name(name: &str) -> Option<ConnModel> {
-        match name {
-            "threaded" => Some(ConnModel::Threaded),
-            "event" => Some(ConnModel::Event),
-            _ => None,
-        }
-    }
-}
+use crate::http::{Request, Response};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -76,18 +48,11 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline_ms: Option<u64>,
-    /// Connection model (default [`ConnModel::Event`]).
-    pub conn_model: ConnModel,
-    /// Event model: evict connections idle this long. Mid-request idlers
-    /// (slowloris) get a 408; idle keep-alive connections close silently.
+    /// Evict connections idle this long. Mid-request idlers (slowloris)
+    /// get a 408; idle keep-alive connections close silently.
     pub idle_timeout_ms: u64,
-    /// Event model: most requests coalesced into one batch.
+    /// Most requests coalesced into one batch.
     pub batch_max: usize,
-    /// Run as a fleet coordinator (`wl-serve --coordinator`): analyses are
-    /// sharded across the configured workers instead of executed locally,
-    /// `/v2/workers` accepts registrations and `/v2/fleet` reports status.
-    /// `None` (the default) is an ordinary single-node server / worker.
-    pub coordinator: Option<CoordinatorConfig>,
 }
 
 impl Default for ServerConfig {
@@ -99,66 +64,32 @@ impl Default for ServerConfig {
             cache_capacity: 128,
             threads: wl_par::default_threads(),
             default_deadline_ms: None,
-            conn_model: ConnModel::Event,
             idle_timeout_ms: 10_000,
             batch_max: 8,
-            coordinator: None,
         }
     }
-}
-
-/// Shared server state.
-struct Shared {
-    config: ServerConfig,
-    queue: Mutex<std::collections::VecDeque<TcpStream>>,
-    available: Condvar,
-    draining: AtomicBool,
-    inflight: AtomicI64,
-    cache: ResultCache,
-    coordinator: Option<Arc<Coordinator>>,
 }
 
 /// A running server; dropping the handle does *not* stop it — call
 /// [`shutdown`](ServerHandle::shutdown) or [`join`](ServerHandle::join).
 pub struct ServerHandle {
     addr: SocketAddr,
-    inner: HandleInner,
-}
-
-enum HandleInner {
-    Threaded {
-        shared: Arc<Shared>,
-        accept_thread: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    Event(crate::event::EventHandle),
+    shared: Arc<Shared>,
+    reactor: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 /// A cloneable drain trigger (for signal/stdin watchers).
 #[derive(Clone)]
 pub struct Drainer {
-    inner: DrainerInner,
-}
-
-#[derive(Clone)]
-enum DrainerInner {
-    Threaded(Arc<Shared>),
-    Event(crate::event::EventDrainer),
+    shared: Arc<Shared>,
 }
 
 impl Drainer {
     /// Begin draining: stop accepting, let in-flight work finish.
     pub fn initiate(&self) {
-        match &self.inner {
-            DrainerInner::Threaded(shared) => initiate_drain(shared),
-            DrainerInner::Event(d) => d.initiate(),
-        }
+        self.shared.initiate_drain();
     }
-}
-
-fn initiate_drain(shared: &Arc<Shared>) {
-    shared.draining.store(true, Ordering::SeqCst);
-    shared.available.notify_all();
 }
 
 impl ServerHandle {
@@ -170,37 +101,21 @@ impl ServerHandle {
     /// A drain trigger usable from other threads.
     pub fn drainer(&self) -> Drainer {
         Drainer {
-            inner: match &self.inner {
-                HandleInner::Threaded { shared, .. } => {
-                    DrainerInner::Threaded(Arc::clone(shared))
-                }
-                HandleInner::Event(h) => DrainerInner::Event(h.drainer()),
-            },
+            shared: Arc::clone(&self.shared),
         }
     }
 
     /// Begin draining without waiting.
     pub fn initiate_drain(&self) {
-        self.drainer().initiate();
+        self.shared.initiate_drain();
     }
 
-    /// Wait until the server has drained (the accept loop stopped and every
+    /// Wait until the server has drained (the reactor stopped and every
     /// admitted request finished).
     pub fn join(self) {
-        match self.inner {
-            HandleInner::Threaded {
-                mut accept_thread,
-                mut workers,
-                ..
-            } => {
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-            }
-            HandleInner::Event(h) => h.join(),
+        let _ = self.reactor.join();
+        for w in self.workers {
+            let _ = w.join();
         }
     }
 
@@ -211,7 +126,7 @@ impl ServerHandle {
     }
 }
 
-/// Bind and start the server threads, returning immediately.
+/// Bind and start the reactor and worker threads, returning immediately.
 ///
 /// Arms the `wl-obs` registry so `GET /metrics` has data to export; the
 /// numeric pipeline's guarantees are unaffected (instrumentation never
@@ -224,141 +139,13 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let coordinator = config.coordinator.as_ref().map(Coordinator::start);
-
-    if config.conn_model == ConnModel::Event {
-        let handle = crate::event::start(listener, config, coordinator)?;
-        return Ok(ServerHandle {
-            addr,
-            inner: HandleInner::Event(handle),
-        });
-    }
-
-    let shared = Arc::new(Shared {
-        cache: ResultCache::new(config.cache_capacity),
-        config,
-        queue: Mutex::new(std::collections::VecDeque::new()),
-        available: Condvar::new(),
-        draining: AtomicBool::new(false),
-        inflight: AtomicI64::new(0),
-        coordinator,
-    });
-
-    let workers = (0..shared.config.workers.max(1))
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(&shared))
-        })
-        .collect();
-
-    let accept_shared = Arc::clone(&shared);
-    let accept_thread = std::thread::spawn(move || accept_loop(listener, &accept_shared));
-
+    let (shared, reactor, workers) = crate::event::spawn(listener, config)?;
     Ok(ServerHandle {
         addr,
-        inner: HandleInner::Threaded {
-            shared,
-            accept_thread: Some(accept_thread),
-            workers,
-        },
+        shared,
+        reactor,
+        workers,
     })
-}
-
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => admit(stream, shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    // Wake idle workers so they can observe the drain and exit.
-    shared.available.notify_all();
-}
-
-fn admit(stream: TcpStream, shared: &Arc<Shared>) {
-    let rejected = {
-        let mut queue = shared.queue.lock().unwrap();
-        if queue.len() >= shared.config.queue_capacity {
-            Some(stream)
-        } else {
-            queue.push_back(stream);
-            wl_obs::gauge_set!("serve.queue.depth", queue.len() as i64);
-            None
-        }
-    };
-    match rejected {
-        None => shared.available.notify_one(),
-        Some(stream) => {
-            wl_obs::counter!("serve.queue.rejected", 1);
-            // Reject off the accept thread so a slow client cannot stall
-            // admission of everyone else.
-            std::thread::spawn(move || reject_overloaded(stream));
-        }
-    }
-}
-
-fn reject_overloaded(mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    // Read (and discard) the request first so the client is not mid-write
-    // when the response lands.
-    let _ = read_request(&mut stream);
-    let response = Response::json(
-        503,
-        error_body("overloaded", "admission queue full; retry shortly"),
-    )
-    .with_header("retry-after", "1");
-    let _ = response.write_to(&mut stream);
-    record_status(503);
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let stream = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(s) = queue.pop_front() {
-                    wl_obs::gauge_set!("serve.queue.depth", queue.len() as i64);
-                    break Some(s);
-                }
-                if shared.draining.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .available
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap();
-                queue = guard;
-            }
-        };
-        let Some(stream) = stream else { return };
-        let inflight = shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-        wl_obs::gauge_set!("serve.inflight", inflight);
-        handle_connection(stream, shared);
-        let inflight = shared.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-        wl_obs::gauge_set!("serve.inflight", inflight);
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let started = Instant::now();
-    let (response, endpoint) = match read_request(&mut stream) {
-        Ok(None) => return, // port probe; nothing to answer
-        Ok(Some(request)) => route(&request, shared),
-        Err(HttpError::Malformed(m)) => {
-            (Response::json(400, error_body("bad-http", &m)), Endpoint::Other)
-        }
-        Err(HttpError::Io(_)) => return, // peer went away
-    };
-    record_status(response.status);
-    endpoint.record_latency(started.elapsed().as_micros() as u64);
-    let _ = response.write_to(&mut stream);
-    let _ = stream.flush();
 }
 
 /// Which endpoint a request hit, for the per-endpoint latency histograms.
@@ -373,8 +160,6 @@ pub(crate) enum Endpoint {
     Hurst,
     Subset,
     Analyze,
-    Shard,
-    Fleet,
     Stream,
     Shutdown,
     Other,
@@ -390,8 +175,6 @@ impl Endpoint {
             Endpoint::Hurst => wl_obs::hist_record!("serve.latency_us.hurst", us),
             Endpoint::Subset => wl_obs::hist_record!("serve.latency_us.subset", us),
             Endpoint::Analyze => wl_obs::hist_record!("serve.latency_us.analyze", us),
-            Endpoint::Shard => wl_obs::hist_record!("serve.latency_us.shard", us),
-            Endpoint::Fleet => wl_obs::hist_record!("serve.latency_us.fleet", us),
             Endpoint::Stream => wl_obs::hist_record!("serve.latency_us.stream", us),
             Endpoint::Shutdown => wl_obs::hist_record!("serve.latency_us.shutdown", us),
             Endpoint::Other => wl_obs::hist_record!("serve.latency_us.other", us),
@@ -413,37 +196,19 @@ pub(crate) fn record_status(status: u16) {
     }
 }
 
-/// Where a request goes, decided from the request line alone. Both
-/// connection models share this table; they differ only in *where* the
-/// work runs (inline on the handling thread vs. dispatched to the worker
-/// pool).
+/// Where a request goes, decided from the request line alone: answered
+/// inline on the reactor, or dispatched to the worker pool.
 pub(crate) enum Routed {
-    /// Answerable immediately (health, datasets, 404/405).
+    /// Answerable immediately (health, metrics, datasets, 404/405).
     Inline(Response, Endpoint),
-    /// `GET /metrics` — inline on a single node, but a coordinator scrapes
-    /// its workers, so the caller decides where that network work runs.
-    Metrics,
-    /// Drain trigger: the caller initiates its model's drain and answers.
+    /// Drain trigger: the caller initiates the drain and answers.
     Shutdown,
     /// An analysis POST bound for the executor. `None` means
     /// `POST /v2/analyze`, which carries its op in the envelope; `Some`
     /// is a `/v1/*` endpoint that must match the body's op.
     Analysis(Option<Operation>, Endpoint),
-    /// A `/v2/shard` POST bound for the shard executor.
-    Shard,
-    /// Fleet control plane (registration / status), answered inline.
-    Fleet(FleetRoute),
     /// A `/v1/stream` session bound for the executor.
     Stream,
-}
-
-/// Which fleet control-plane endpoint a request hit.
-#[derive(Clone, Copy)]
-pub(crate) enum FleetRoute {
-    /// `POST /v2/workers` — a worker announcing itself.
-    Register,
-    /// `GET /v2/fleet` — worker table with liveness and shard counts.
-    Status,
 }
 
 pub(crate) fn classify(request: &Request) -> Routed {
@@ -451,7 +216,7 @@ pub(crate) fn classify(request: &Request) -> Routed {
         ("GET", "/healthz") => {
             Routed::Inline(Response::json(200, health_body()), Endpoint::Health)
         }
-        ("GET", "/metrics") => Routed::Metrics,
+        ("GET", "/metrics") => Routed::Inline(metrics_response(), Endpoint::Metrics),
         ("GET", "/v1/datasets") => Routed::Inline(
             Response::json(200, datasets::datasets_json()),
             Endpoint::Datasets,
@@ -460,9 +225,6 @@ pub(crate) fn classify(request: &Request) -> Routed {
         ("POST", "/v1/hurst") => Routed::Analysis(Some(Operation::Hurst), Endpoint::Hurst),
         ("POST", "/v1/subset") => Routed::Analysis(Some(Operation::Subset), Endpoint::Subset),
         ("POST", "/v2/analyze") => Routed::Analysis(None, Endpoint::Analyze),
-        ("POST", "/v2/shard") => Routed::Shard,
-        ("POST", "/v2/workers") => Routed::Fleet(FleetRoute::Register),
-        ("GET", "/v2/fleet") => Routed::Fleet(FleetRoute::Status),
         ("POST", "/v1/stream") => Routed::Stream,
         ("POST", "/v1/shutdown") => Routed::Shutdown,
         (_, path)
@@ -470,7 +232,6 @@ pub(crate) fn classify(request: &Request) -> Routed {
                 path,
                 "/healthz" | "/metrics" | "/v1/datasets" | "/v1/coplot" | "/v1/hurst"
                     | "/v1/subset" | "/v1/stream" | "/v1/shutdown" | "/v2/analyze"
-                    | "/v2/shard" | "/v2/workers" | "/v2/fleet"
             ) =>
         {
             Routed::Inline(
@@ -492,120 +253,23 @@ pub(crate) fn classify(request: &Request) -> Routed {
 }
 
 /// The `GET /healthz` body: liveness plus the wire-API versions this
-/// server speaks, so clients (and fleet probes) can negotiate without a
-/// second round trip.
-pub(crate) fn health_body() -> String {
+/// server speaks, so clients can negotiate without a second round trip.
+fn health_body() -> String {
     format!(
         "{{\"status\":\"ok\",\"api_versions\":{}}}",
         datasets::api_versions_json()
     )
 }
 
-/// This process's own metrics document (what a single node serves at
-/// `GET /metrics`, and the base a coordinator merges worker metrics into).
-pub(crate) fn own_metrics_body() -> String {
+/// The `GET /metrics` document: this process's `wl-obs` registry as JSON
+/// lines.
+fn metrics_response() -> Response {
     let snapshot = wl_obs::registry().snapshot();
-    wl_obs::export_json_lines(&snapshot, &[])
-}
-
-pub(crate) fn own_metrics_response() -> Response {
     Response {
         status: 200,
         content_type: "application/x-ndjson",
-        body: own_metrics_body(),
+        body: wl_obs::export_json_lines(&snapshot, &[]),
         extra_headers: Vec::new(),
-    }
-}
-
-pub(crate) fn metrics_response(coordinator: Option<&Coordinator>) -> Response {
-    match coordinator {
-        Some(c) => dist::coordinator::aggregated_metrics(c),
-        None => own_metrics_response(),
-    }
-}
-
-/// Answer a fleet control-plane request. On a non-coordinator both
-/// endpoints are a typed 404: the route exists, but this process has no
-/// worker table to serve.
-pub(crate) fn fleet_response(
-    request: &Request,
-    route: FleetRoute,
-    coordinator: Option<&Coordinator>,
-) -> Response {
-    let Some(coordinator) = coordinator else {
-        return Response::json(
-            404,
-            error_body(
-                "not-coordinator",
-                "this wl-serve is not running in coordinator mode",
-            ),
-        );
-    };
-    match route {
-        FleetRoute::Register => {
-            let addr = std::str::from_utf8(&request.body)
-                .ok()
-                .and_then(|body| wl_obs::parse_json(body).ok())
-                .and_then(|v| v.get("addr").and_then(|a| a.as_str().map(String::from)));
-            let Some(addr) = addr else {
-                return Response::json(
-                    400,
-                    error_body("bad-schema", "registration body must be {\"addr\":\"host:port\"}"),
-                );
-            };
-            let new = coordinator.register(&addr);
-            Response::json(
-                200,
-                format!(
-                    "{{\"registered\":\"{}\",\"known\":{},\"new\":{}}}",
-                    wl_obs::escape_str(&addr),
-                    coordinator.worker_count(),
-                    new
-                ),
-            )
-        }
-        FleetRoute::Status => Response::json(200, coordinator.status_json()),
-    }
-}
-
-fn route(request: &Request, shared: &Arc<Shared>) -> (Response, Endpoint) {
-    let coordinator = shared.coordinator.as_deref();
-    match classify(request) {
-        Routed::Inline(response, endpoint) => (response, endpoint),
-        Routed::Metrics => (metrics_response(coordinator), Endpoint::Metrics),
-        Routed::Shutdown => {
-            initiate_drain(shared);
-            (Response::text(200, "draining\n"), Endpoint::Shutdown)
-        }
-        Routed::Analysis(op, endpoint) => (
-            match prepare_analysis(request, op) {
-                Ok(prepared) => match coordinator {
-                    Some(c) => {
-                        dist::coordinator::execute_via_fleet(c, &prepared, &shared.config, &shared.cache)
-                    }
-                    None => execute_prepared(&prepared, &shared.config, &shared.cache, None),
-                },
-                Err(response) => response,
-            },
-            endpoint,
-        ),
-        Routed::Shard => (
-            match dist::worker::prepare_shard(request) {
-                Ok(prepared) => {
-                    dist::worker::execute_prepared_shard(&prepared, &shared.config, &shared.cache)
-                }
-                Err(response) => response,
-            },
-            Endpoint::Shard,
-        ),
-        Routed::Fleet(fleet_route) => (
-            fleet_response(request, fleet_route, coordinator),
-            Endpoint::Fleet,
-        ),
-        Routed::Stream => (
-            stream_response(request, shared.config.threads),
-            Endpoint::Stream,
-        ),
     }
 }
 
@@ -659,18 +323,7 @@ pub(crate) fn prepare_analysis(
         Ok(e) => e,
         Err(e) => return Err(Response::json(400, error_body(e.kind.label(), &e.message))),
     };
-    let parsed = match envelope.payload {
-        EnvelopePayload::Analysis(r) => r,
-        EnvelopePayload::Shard(_) => {
-            return Err(Response::json(
-                400,
-                error_body(
-                    "bad-schema",
-                    "shard requests belong on /v2/shard, not an analysis endpoint",
-                ),
-            ))
-        }
-    };
+    let parsed = envelope.request;
     if let Some(expected_op) = expected_op {
         if parsed.op != expected_op {
             return Err(Response::json(
@@ -735,10 +388,8 @@ pub(crate) fn execute_prepared(
     }
 }
 
-/// The dataset half of the result-cache key for a canonical request —
-/// shared by local execution and the coordinator (same key, same cached
-/// bytes, whichever path computed them).
-pub(crate) fn datasets_digest_of(canonical: &AnalysisRequest) -> Result<u64, ExecError> {
+/// The dataset half of the result-cache key for a canonical request.
+fn datasets_digest_of(canonical: &AnalysisRequest) -> Result<u64, ExecError> {
     datasets::dataset_digest(
         &canonical.dataset,
         canonical.jobs,
@@ -770,7 +421,7 @@ pub(crate) fn stream_response(request: &Request, threads: usize) -> Response {
     }
 }
 
-pub(crate) fn exec_error_response(e: &ExecError) -> Response {
+fn exec_error_response(e: &ExecError) -> Response {
     match e {
         ExecError::Api(a) => Response::json(400, error_body(a.kind.label(), &a.message)),
         ExecError::DatasetNotFound(m) => Response::json(404, error_body("not-found", m)),
@@ -782,7 +433,7 @@ pub(crate) fn exec_error_response(e: &ExecError) -> Response {
 }
 
 /// The service's uniform error body — one [`ErrorBody`] shape across
-/// every v1, v2 and shard endpoint.
+/// every v1 and v2 endpoint.
 pub(crate) fn error_body(kind: &str, message: &str) -> String {
     ErrorBody::new(kind, message).to_json()
 }

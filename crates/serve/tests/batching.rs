@@ -9,8 +9,9 @@
 
 use std::time::Duration;
 
+use coplot::AnalysisRequest;
 use wl_serve::http::http_call;
-use wl_serve::{start, ConnModel, ServerConfig, ServerHandle};
+use wl_serve::{execute, start, ExecConfig, ServerConfig, ServerHandle};
 
 /// Holds the single worker (≈0.5 s release, ≈2.6 s debug) while the batch
 /// group queues behind it; its dataset digest matches nobody else's.
@@ -47,10 +48,9 @@ const OTHER_GROUP: [(&str, &str); 2] = [
     ),
 ];
 
-fn server_with(model: ConnModel, threads: usize, workers: usize) -> ServerHandle {
+fn server_with(threads: usize, workers: usize) -> ServerHandle {
     start(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        conn_model: model,
         workers,
         queue_capacity: 32,
         cache_capacity: 0, // no result cache: every answer is computed
@@ -105,23 +105,23 @@ fn spawn_posts(
 #[test]
 fn batched_responses_are_byte_identical_to_unbatched() {
     for threads in [1usize, 8] {
-        // Golden answers from the threaded model: it executes every
-        // request alone, with no memo and (cache off) no reuse at all.
-        let golden_server = server_with(ConnModel::Threaded, threads, 2);
-        let golden_addr = golden_server.addr().to_string();
+        // Golden answers from the executor itself: every request alone,
+        // with no memo, no cache and no server in between.
         let golden: Vec<(u16, String)> = GROUP
             .iter()
-            .map(|&(path, body)| {
-                let (status, _, body) = http_call(&golden_addr, "POST", path, Some(body)).unwrap();
-                (status, body)
+            .map(|&(_, body)| {
+                let req = AnalysisRequest::from_json(body).unwrap();
+                match execute(&req, &ExecConfig::new(threads)) {
+                    Ok(outcome) => (200, outcome.response.to_json()),
+                    Err(e) => (0, e.to_string()),
+                }
             })
             .collect();
-        golden_server.shutdown();
         for (status, body) in &golden {
             assert_eq!(*status, 200, "golden run: {body}");
         }
 
-        let server = server_with(ConnModel::Event, threads, 1);
+        let server = server_with(threads, 1);
         let addr = server.addr().to_string();
         let formed_before = metric_field(&fetch_metrics(&addr), "serve.batch.formed", "value");
 
@@ -152,7 +152,7 @@ fn batched_responses_are_byte_identical_to_unbatched() {
 
 #[test]
 fn mixed_digest_requests_batch_only_within_their_group() {
-    let server = server_with(ConnModel::Event, 2, 1);
+    let server = server_with(2, 1);
     let addr = server.addr().to_string();
     let before = fetch_metrics(&addr);
     let formed_before = metric_field(&before, "serve.batch.formed", "value");

@@ -1,6 +1,7 @@
 //! End-to-end tests for the `wl-serve` HTTP service: routing, typed
-//! errors (never a 500), caching, deadlines, bounded-queue saturation,
-//! and graceful drain.
+//! errors (never a 500), caching, deadlines, the v2 envelope, and
+//! graceful drain. Bounded-queue saturation is covered in
+//! `tests/event_load.rs`.
 //!
 //! Every server binds `127.0.0.1:0` so tests run in parallel without
 //! port conflicts. The `wl-obs` registry is process-global, so metric
@@ -11,7 +12,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use wl_serve::http::http_call;
-use wl_serve::{start, ConnModel, ServerConfig, ServerHandle};
+use wl_serve::{start, ServerConfig, ServerHandle};
 
 fn test_server(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
     let mut config = ServerConfig {
@@ -256,78 +257,100 @@ fn metrics_are_a_valid_trace_document() {
     server.shutdown();
 }
 
-/// Saturation: with one worker and a queue of one, a third concurrent
-/// request is rejected with 503 + Retry-After while the in-flight and
-/// queued requests still complete.
-///
-/// Deterministic setup: connection A sends only part of its request, so
-/// the single worker blocks reading it (in-flight but stalled under our
-/// control); B fills the queue; C must bounce. Then A's request is
-/// completed and both A and B finish normally.
+/// The three analyses as flat v1 bodies, all on the cheap `models`
+/// dataset (5 workloads, 150 synthesized jobs).
+fn op_bodies(seed: u64) -> [(&'static str, String); 3] {
+    [
+        ("coplot", coplot_body(seed)),
+        (
+            "hurst",
+            format!("{{\"op\":\"hurst\",\"dataset\":{{\"name\":\"models\"}},\"jobs\":150,\"seed\":{seed}}}"),
+        ),
+        (
+            "subset",
+            format!("{{\"op\":\"subset\",\"dataset\":{{\"name\":\"models\"}},\"jobs\":150,\"seed\":{seed},\"subset_size\":2,\"top\":3}}"),
+        ),
+    ]
+}
+
+/// Wrap a flat v1 body in the v2 envelope.
+fn v2_envelope(flat: &str) -> String {
+    let op = wl_obs::parse_json(flat)
+        .ok()
+        .and_then(|v| v.get("op").and_then(|o| o.as_str()).map(str::to_string))
+        .expect("flat body has an op");
+    format!("{{\"api_version\":2,\"op\":\"{op}\",\"body\":{flat}}}")
+}
+
+/// `/v2/analyze` and the `/v1/*` endpoints answer the same request with
+/// the same bytes.
 #[test]
-fn saturated_queue_rejects_with_503_while_inflight_completes() {
-    // Threaded model: this setup relies on a partial body *blocking* the
-    // single worker (the event model never blocks a worker on a socket —
-    // its saturation path is covered in tests/event_load.rs).
-    let server = test_server(|c| {
-        c.conn_model = ConnModel::Threaded;
-        c.workers = 1;
-        c.queue_capacity = 1;
-    });
+fn v2_analyze_matches_v1_byte_for_byte() {
+    let server = test_server(|_| {});
+    for (op, body) in op_bodies(5) {
+        let (status, _, v1) = post(server.addr(), &format!("/v1/{op}"), &body);
+        assert_eq!(status, 200, "{v1}");
+        let (status, _, v2) = post(server.addr(), "/v2/analyze", &v2_envelope(&body));
+        assert_eq!(status, 200, "{v2}");
+        assert_eq!(v1, v2, "{op}: v1 and v2 bodies must be byte-identical");
+    }
+    // A flat v1 body with an explicit `"api_version":1` is tolerated.
+    let versioned =
+        "{\"api_version\":1,\"op\":\"coplot\",\"dataset\":{\"name\":\"models\"},\"jobs\":150,\"seed\":5}";
+    let (status, _, resp) = post(server.addr(), "/v1/coplot", versioned);
+    assert_eq!(status, 200, "{resp}");
+    server.shutdown();
+}
+
+/// The never-500 table over the v2 envelope: bad versions, malformed
+/// envelopes and unknown ops are typed 400s.
+#[test]
+fn v2_errors_are_typed_never_500() {
+    let server = test_server(|_| {});
     let addr = server.addr();
+    let flat = coplot_body(1);
+    // (path, body, expected error kind); every row is a 400.
+    let table: Vec<(&str, String, &str)> = vec![
+        ("/v2/analyze", "{not json".into(), "bad-json"),
+        // Unknown api_version is a *typed* rejection, on both surfaces.
+        (
+            "/v2/analyze",
+            format!("{{\"api_version\":3,\"op\":\"coplot\",\"body\":{flat}}}"),
+            "bad-version",
+        ),
+        (
+            "/v1/coplot",
+            "{\"api_version\":9,\"op\":\"coplot\",\"dataset\":{\"name\":\"models\"}}".into(),
+            "bad-version",
+        ),
+        // Envelope shape errors.
+        (
+            "/v2/analyze",
+            "{\"api_version\":2,\"op\":\"coplot\"}".into(),
+            "bad-schema",
+        ),
+        (
+            "/v2/analyze",
+            format!("{{\"api_version\":2,\"op\":\"hurst\",\"body\":{flat}}}"),
+            "bad-schema",
+        ),
+        // An op outside coplot/hurst/subset.
+        (
+            "/v2/analyze",
+            format!("{{\"api_version\":2,\"op\":\"shard\",\"body\":{{\"base\":{flat}}}}}"),
+            "bad-schema",
+        ),
+    ];
+    for (path, body, want_kind) in &table {
+        let (status, _, resp) = post(addr, path, body);
+        assert_eq!(status, 400, "{path} body {body:?} -> {resp}");
+        assert_eq!(error_kind(&resp), *want_kind, "{path} body {body:?}");
+    }
 
-    // A: partial write; the worker pops it and blocks on the body.
-    let body_a = coplot_body(101);
-    let head_a = format!(
-        "POST /v1/coplot HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n",
-        body_a.len()
-    );
-    let mut conn_a = TcpStream::connect(addr).unwrap();
-    conn_a.write_all(head_a.as_bytes()).unwrap();
-    conn_a.flush().unwrap();
-    // Give the worker time to pop A off the queue.
-    std::thread::sleep(Duration::from_millis(300));
-
-    // B: complete request; sits in the queue behind A.
-    let body_b = coplot_body(102);
-    let mut conn_b = TcpStream::connect(addr).unwrap();
-    conn_b
-        .write_all(
-            format!(
-                "POST /v1/coplot HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{}",
-                body_b.len(),
-                body_b
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    // Give the accept loop time to queue B.
-    std::thread::sleep(Duration::from_millis(300));
-
-    // C: the queue is full; expect an immediate 503 with Retry-After.
-    let (status, headers, resp) = post(addr, "/v1/coplot", &coplot_body(103));
-    assert_eq!(status, 503, "{resp}");
-    assert_eq!(error_kind(&resp), "overloaded");
-    assert!(
-        headers.iter().any(|(k, v)| k == "retry-after" && v == "1"),
-        "503 carries retry-after: {headers:?}"
-    );
-
-    // Complete A; both in-flight (A) and queued (B) requests finish.
-    conn_a.write_all(body_a.as_bytes()).unwrap();
-    conn_a.flush().unwrap();
-    let mut raw_a = Vec::new();
-    conn_a.read_to_end(&mut raw_a).unwrap();
-    let raw_a = String::from_utf8_lossy(&raw_a);
-    assert!(raw_a.starts_with("HTTP/1.1 200"), "A completes: {raw_a}");
-
-    let mut raw_b = Vec::new();
-    conn_b.read_to_end(&mut raw_b).unwrap();
-    let raw_b = String::from_utf8_lossy(&raw_b);
-    assert!(raw_b.starts_with("HTTP/1.1 200"), "B completes: {raw_b}");
-
-    let (_, _, metrics) = get(addr, "/metrics");
-    assert!(metrics.contains("serve.queue.rejected"));
+    // The wrong method on the v2 surface is a 405, not a 500 or a hang.
+    let (status, _, resp) = get(addr, "/v2/analyze");
+    assert_eq!(status, 405, "GET /v2/analyze: {resp}");
+    assert_eq!(error_kind(&resp), "method-not-allowed");
     server.shutdown();
 }
 
@@ -342,7 +365,7 @@ fn shutdown_endpoint_drains_gracefully() {
     let (status, _, body) = post(addr, "/v1/shutdown", "");
     assert_eq!((status, body.as_str()), (200, "draining\n"));
 
-    // join() returns once the accept loop and workers have stopped.
+    // join() returns once the reactor and workers have stopped.
     server.join();
 
     // The listener is gone: new connections are refused (or time out).

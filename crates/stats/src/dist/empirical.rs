@@ -71,7 +71,7 @@ impl DiscreteWeighted {
     /// Index of a sampled atom.
     pub fn sample_index(&self, rng: &mut dyn RngCore) -> usize {
         let u = open01(rng);
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => (i + 1).min(self.atoms.len() - 1),
             Err(i) => i.min(self.atoms.len() - 1),
         }
@@ -85,7 +85,8 @@ impl DiscreteWeighted {
     /// Panics when `p` is outside `[0, 1]`.
     pub fn quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "p out of [0,1]: {p}");
-        let idx = match self.cdf.binary_search_by(|c| c.partial_cmp(&p).unwrap()) {
+        // Adding 0.0 maps p = -0.0 onto the +0.0 the CDF starts from.
+        let idx = match self.cdf.binary_search_by(|c| c.total_cmp(&(p + 0.0))) {
             Ok(i) => i,
             Err(i) => i.min(self.atoms.len() - 1),
         };
@@ -135,7 +136,8 @@ impl EmpiricalQuantile {
             "sample must be finite"
         );
         let mut sorted = sample.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        // Signed zeros tie (stable order), as they do under `<`.
+        sorted.sort_by(|a, b| (a + 0.0).total_cmp(&(b + 0.0)));
         EmpiricalQuantile { sorted }
     }
 
@@ -216,6 +218,26 @@ mod tests {
         assert_eq!(d.quantile(0.75), 2.0);
         assert_eq!(d.quantile(0.76), 4.0);
         assert_eq!(d.quantile(1.0), 4.0);
+    }
+
+    #[test]
+    fn nan_cdf_never_panics() {
+        // An infinite weight normalizes to a NaN CDF (inf / inf).
+        let d = DiscreteWeighted::new(&[(1.0, f64::INFINITY), (2.0, 1.0)]);
+        let mut rng = seeded_rng(114);
+        for _ in 0..100 {
+            assert!(d.sample_index(&mut rng) < d.len());
+        }
+        for p in [0.0, 0.5, 1.0] {
+            let q = d.quantile(p);
+            assert!(q == 1.0 || q == 2.0, "quantile({p}) = {q}");
+        }
+    }
+
+    #[test]
+    fn negative_zero_probability_is_the_zero_quantile() {
+        let d = DiscreteWeighted::new(&[(1.0, 0.0), (2.0, 1.0)]);
+        assert_eq!(d.quantile(-0.0), d.quantile(0.0));
     }
 
     #[test]

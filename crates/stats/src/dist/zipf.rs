@@ -63,10 +63,7 @@ impl Zipf {
     pub fn sample_rank(&self, rng: &mut dyn RngCore) -> usize {
         let u = open01(rng);
         // Binary search the CDF.
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).unwrap())
-        {
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i + 2.min(self.n), // exact hit: next rank (clamped)
             Err(i) => (i + 1).min(self.n),
         }
@@ -105,6 +102,19 @@ mod tests {
     use super::*;
     use crate::dist::testutil::check_moments;
     use crate::rng::seeded_rng;
+
+    #[test]
+    fn sampling_never_panics_at_extreme_exponents() {
+        // The CDF search sees only values in [0, 1]; huge exponents put all
+        // mass on rank 1 and underflow every other weight to zero.
+        let mut rng = seeded_rng(103);
+        for s in [0.0, 1e-300, 1e300, f64::MAX] {
+            let z = Zipf::new(1000, s);
+            for _ in 0..100 {
+                assert!((1..=1000).contains(&z.sample_rank(&mut rng)));
+            }
+        }
+    }
 
     #[test]
     fn moments_match() {

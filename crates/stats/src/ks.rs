@@ -14,7 +14,7 @@ pub fn ks_statistic(sample: &[f64], cdf: impl Fn(f64) -> f64) -> Option<f64> {
         return None;
     }
     let mut sorted: Vec<f64> = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len() as f64;
     let mut d: f64 = 0.0;
     for (i, &x) in sorted.iter().enumerate() {
@@ -30,6 +30,11 @@ pub fn ks_statistic(sample: &[f64], cdf: impl Fn(f64) -> f64) -> Option<f64> {
 /// Two-sample KS statistic: the supremum distance between two empirical
 /// CDFs.
 ///
+/// Values are ordered by [`f64::total_cmp`] with signed zeros tied, so a
+/// NaN takes a place in the order (positive NaNs last) instead of
+/// panicking, and every step of the merge advances past at least one
+/// value.
+///
 /// Returns `None` when either sample is empty.
 pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Option<f64> {
     if a.is_empty() || b.is_empty() {
@@ -37,18 +42,20 @@ pub fn ks_two_sample(a: &[f64], b: &[f64]) -> Option<f64> {
     }
     let mut sa: Vec<f64> = a.to_vec();
     let mut sb: Vec<f64> = b.to_vec();
-    sa.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    sb.sort_by(|x, y| x.partial_cmp(y).unwrap());
+    sa.sort_by(f64::total_cmp);
+    sb.sort_by(f64::total_cmp);
 
+    // `x <= y` on numbers; adding 0.0 makes -0.0 and +0.0 tie.
+    let le = |x: f64, y: f64| (x + 0.0).total_cmp(&(y + 0.0)).is_le();
     let (na, nb) = (sa.len() as f64, sb.len() as f64);
     let (mut i, mut j) = (0usize, 0usize);
     let mut d: f64 = 0.0;
     while i < sa.len() && j < sb.len() {
-        let x = sa[i].min(sb[j]);
-        while i < sa.len() && sa[i] <= x {
+        let x = if le(sa[i], sb[j]) { sa[i] } else { sb[j] };
+        while i < sa.len() && le(sa[i], x) {
             i += 1;
         }
-        while j < sb.len() && sb[j] <= x {
+        while j < sb.len() && le(sb[j], x) {
             j += 1;
         }
         d = d.max((i as f64 / na - j as f64 / nb).abs());
@@ -129,6 +136,25 @@ mod tests {
         assert!(ks > 0.2, "ks = {ks}");
         let p = ks_two_sample_pvalue(&a, &b).unwrap();
         assert!(p < 1e-6, "p = {p}");
+    }
+
+    #[test]
+    fn nan_observations_never_panic() {
+        let a = [0.3, f64::NAN, 0.1, -f64::NAN];
+        let b = [f64::NAN, 0.2, 0.4];
+        let d = ks_statistic(&a, |x| x).unwrap();
+        assert!((0.0..=1.0).contains(&d), "d = {d}");
+        // NaNs on both sides at once must not stall the merge either.
+        for (x, y) in [(&a[..], &b[..]), (&[f64::NAN][..], &[f64::NAN][..])] {
+            let d = ks_two_sample(x, y).unwrap();
+            assert!((0.0..=1.0).contains(&d), "d = {d}");
+            assert!(ks_two_sample_pvalue(x, y).is_some());
+        }
+    }
+
+    #[test]
+    fn signed_zeros_tie_in_the_two_sample_merge() {
+        assert_eq!(ks_two_sample(&[-0.0, 1.0], &[0.0, 1.0]), Some(0.0));
     }
 
     #[test]

@@ -56,6 +56,14 @@ iterations=$(echo "$subset_trace" \
   | head -1)
 test "$iterations" = 140905 \
   || { echo "mds.iterations_per_start sum = '$iterations', expected 140905"; exit 1; }
+# Histogram quantiles are log2-bucket upper bounds clamped to the recorded
+# max, so no exported quantile may exceed the max.
+iter_max=$(echo "$subset_trace" \
+  | sed -n 's/.*"name":"mds.iterations_per_start".*"max":\([0-9]*\),"p50":[0-9]*,"p99":\([0-9]*\).*/\1 \2/p' \
+  | head -1)
+read -r hist_max hist_p99 <<< "$iter_max"
+test -n "$hist_max" && test -n "$hist_p99" && test "$hist_p99" -le "$hist_max" \
+  || { echo "mds.iterations_per_start p99 '$hist_p99' exceeds max '$hist_max'"; exit 1; }
 
 echo "== protocol conformance (event connection model) =="
 cargo test -q -p wl-serve --test conformance
@@ -65,7 +73,7 @@ cargo test -q -p wl-repro --test golden
 cargo test -q -p wl-cli --test golden_trace
 cargo test -q -p wl-cli --test stream_golden
 
-echo "== wl-serve smoke (ephemeral port, CLI parity, metrics, drain) =="
+echo "== wl-serve smoke (ephemeral port, CLI parity for coplot/hurst/subset/v2, metrics, drain) =="
 serve_log=$(mktemp)
 serve_fifo=$(mktemp -u)
 mkfifo "$serve_fifo"
@@ -90,6 +98,31 @@ echo -n "$request" > "$req_file"
 ./target/release/wl coplot @table1 --jobs 1024 --seed 1999 --json > cli_body.json
 printf '\n' >> serve_body.json
 diff cli_body.json serve_body.json   # CLI --json == server body, byte for byte
+
+# hurst and subset through their /v1 endpoints, and one /v2/analyze
+# envelope, each against the CLI's --json output.
+for op in hurst subset analyze; do
+  case $op in
+    hurst)
+      path=/v1/hurst
+      request='{"op":"hurst","dataset":{"name":"models"},"jobs":150,"seed":7}'
+      ./target/release/wl hurst @models --jobs 150 --seed 7 --json > cli_body.json ;;
+    subset)
+      path=/v1/subset
+      request='{"op":"subset","dataset":{"name":"models"},"jobs":150,"seed":7,"subset_size":2,"top":3}'
+      ./target/release/wl subset @models --jobs 150 --seed 7 --size 2 --top 3 \
+        --json > cli_body.json ;;
+    analyze)
+      path=/v2/analyze
+      request='{"api_version":2,"op":"coplot","body":{"dataset":{"name":"models"},"jobs":150,"seed":7}}'
+      ./target/release/wl coplot @models --jobs 150 --seed 7 --json > cli_body.json ;;
+  esac
+  echo -n "$request" > "$req_file"
+  ./target/release/wl-servectl POST "http://$serve_addr$path" "$req_file" \
+    > serve_body.json
+  printf '\n' >> serve_body.json
+  diff cli_body.json serve_body.json || { echo "$path differs from the CLI"; exit 1; }
+done
 rm -f serve_body.json cli_body.json "$req_file"
 
 ./target/release/wl-servectl GET "http://$serve_addr/metrics" \
@@ -166,63 +199,6 @@ echo "$web_trace" | ./target/release/trace-check -
 echo "$web_trace" | grep -q '"weblog.jobs_parsed"' \
   || { echo "missing weblog.jobs_parsed counter"; exit 1; }
 rm -rf "$fmt_dir"
-trap - EXIT
-
-echo "== fleet smoke (coordinator + 2 workers, byte-identical to one node) =="
-fleet_dir=$(mktemp -d)
-w1_pid=; w2_pid=; coord_pid=
-trap 'kill $w1_pid $w2_pid $coord_pid 2>/dev/null || true; rm -rf "$fleet_dir"' EXIT
-./target/release/wl-serve --addr 127.0.0.1:0 --workers 2 --threads 2 \
-  > "$fleet_dir/w1.log" &
-w1_pid=$!
-./target/release/wl-serve --addr 127.0.0.1:0 --workers 2 --threads 2 \
-  > "$fleet_dir/w2.log" &
-w2_pid=$!
-for log in w1 w2; do
-  for _ in $(seq 1 100); do
-    grep -q "listening on" "$fleet_dir/$log.log" 2>/dev/null && break
-    sleep 0.1
-  done
-done
-w1_addr=$(sed -n 's|.*listening on http://||p' "$fleet_dir/w1.log")
-w2_addr=$(sed -n 's|.*listening on http://||p' "$fleet_dir/w2.log")
-test -n "$w1_addr" && test -n "$w2_addr" \
-  || { echo "fleet workers did not start"; exit 1; }
-# One worker wired through the config, the other joining at runtime
-# through the control plane — both paths must serve.
-./target/release/wl-serve --addr 127.0.0.1:0 --threads 2 \
-  --coordinator --worker "$w1_addr" > "$fleet_dir/coord.log" &
-coord_pid=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "$fleet_dir/coord.log" 2>/dev/null && break
-  sleep 0.1
-done
-coord_addr=$(sed -n 's|.*listening on http://||p' "$fleet_dir/coord.log")
-test -n "$coord_addr" || { echo "coordinator did not start"; exit 1; }
-./target/release/wl-servectl fleet-register "http://$coord_addr" "$w2_addr" \
-  > /dev/null
-./target/release/wl-servectl fleet-status "http://$coord_addr" \
-  | grep -q "\"$w2_addr\"" \
-  || { echo "runtime registration not visible in fleet status"; exit 1; }
-for op in coplot hurst subset; do
-  case $op in
-    subset) req='{"op":"subset","dataset":{"name":"models"},"jobs":150,"seed":7,"subset_size":2,"top":3}' ;;
-    *) req="{\"op\":\"$op\",\"dataset\":{\"name\":\"models\"},\"jobs\":150,\"seed\":7}" ;;
-  esac
-  echo -n "$req" > "$fleet_dir/req.json"
-  ./target/release/wl-servectl POST "http://$w1_addr/v1/$op" \
-    "$fleet_dir/req.json" > "$fleet_dir/single.json"
-  ./target/release/wl-servectl POST "http://$coord_addr/v1/$op" \
-    "$fleet_dir/req.json" > "$fleet_dir/fleet.json"
-  diff "$fleet_dir/single.json" "$fleet_dir/fleet.json"  # fleet == one node
-done
-# The aggregated fleet /metrics document still satisfies every trace
-# invariant.
-./target/release/wl-servectl GET "http://$coord_addr/metrics" \
-  | ./target/release/trace-check -
-kill $w1_pid $w2_pid $coord_pid 2>/dev/null || true
-wait $w1_pid $w2_pid $coord_pid 2>/dev/null || true
-rm -rf "$fleet_dir"
 trap - EXIT
 
 echo "CI green."
